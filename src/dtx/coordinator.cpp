@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 
 #include "dtx/snapshot_read.hpp"
 #include "util/log.hpp"
@@ -24,11 +25,12 @@ void drop_from_ready(std::deque<std::shared_ptr<Transaction>>& ready,
 void Coordinator::run() {
   while (ctx_.running.load()) {
     TransactionPtr next;
+    std::optional<SiteContext::ParkedRound> resumed;
     {
       sync::UniqueLock lock(ctx_.coord_mutex);
       ctx_.coord_cv.wait_for(ctx_.coord_mutex, ctx_.options.poll_interval, [&] {
-        return !ctx_.running.load() || !ctx_.ready.empty() ||
-               !ctx_.victim_aborts.empty();
+        return !ctx_.running.load() || !ctx_.resumable.empty() ||
+               !ctx_.ready.empty() || !ctx_.victim_aborts.empty();
       });
       if (!ctx_.running.load()) return;
 
@@ -36,13 +38,27 @@ void Coordinator::run() {
       process_victims(lock);
       retry_overdue_waiters();
 
-      if (ctx_.ready.empty()) continue;
-      next = ctx_.ready.front();
-      ctx_.ready.pop_front();
-      if (next->completed() || next->state() != TxnState::kActive) continue;
-      ctx_.executing.insert(next->id());
+      // Resumed rounds before new work: they hold locks the queue behind
+      // them may need.
+      if (!ctx_.resumable.empty()) {
+        const TxnId id = ctx_.resumable.front();
+        ctx_.resumable.pop_front();
+        const auto it = ctx_.parked.find(id);
+        if (it == ctx_.parked.end()) continue;
+        resumed = std::move(it->second);
+        ctx_.parked.erase(it);
+        ctx_.executing.insert(id);
+      } else {
+        if (ctx_.ready.empty()) continue;
+        next = ctx_.ready.front();
+        ctx_.ready.pop_front();
+        if (next->completed() || next->state() != TxnState::kActive) continue;
+        ctx_.executing.insert(next->id());
+      }
     }
-    if (ctx_.options.snapshot_reads && next->read_only()) {
+    if (resumed.has_value()) {
+      resume(*resumed);
+    } else if (ctx_.options.snapshot_reads && next->read_only()) {
       execute_snapshot(next);
     } else {
       execute_one_operation(next);
@@ -56,9 +72,9 @@ void Coordinator::process_victims(sync::UniqueLock& lock) {
     ctx_.victim_aborts.pop_front();
     const auto it = ctx_.transactions.find(victim);
     if (it == ctx_.transactions.end() || it->second->completed()) continue;
-    if (ctx_.executing.count(victim) != 0) {
-      // Another worker is mid-operation on the victim: park the abort; that
-      // worker applies it the moment it hands its claim back.
+    if (ctx_.executing.count(victim) != 0 || ctx_.parked.count(victim) != 0) {
+      // A worker or a network round holds the victim's claim: defer the
+      // abort; it runs the moment the claim is handed back.
       ctx_.deferred_victims.insert(victim);
       continue;
     }
@@ -187,58 +203,57 @@ void Coordinator::execute_snapshot(const TransactionPtr& txn) {
     request.ops.push_back(op);
   }
 
-  std::set<SiteId> remote;
-  for (const auto& [site, request] : groups) {
-    (void)request;
-    if (site != ctx_.options.id) remote.insert(site);
+  const auto local_group = groups.find(ctx_.options.id);
+  if (groups.size() == 1 && local_group != groups.end()) {
+    // Every document is hosted here: no round to park on.
+    SiteContext::SnapshotSlot slot;
+    slot.replies[ctx_.options.id] = serve_snapshot_read(
+        ctx_, txn->id(), view->epoch, local_group->second.op_indices,
+        local_group->second.ops);
+    complete_snapshot(txn, std::move(slot));
+    return;
   }
-  if (!remote.empty()) {
+  {
     sync::MutexLock lock(ctx_.resp_mutex);
-    ctx_.snapshot_replies[txn->id()].clear();
+    SiteContext::SnapshotSlot& slot = ctx_.snapshot_replies[txn->id()];
+    for (const auto& [site, request] : groups) {
+      slot.expected[site] = request.op_indices.front();
+    }
   }
   for (const auto& [site, request] : groups) {
     if (site != ctx_.options.id) ctx_.send(site, request);
   }
-
-  // Serve the local group inline while remote sites work in parallel.
-  std::vector<net::SnapshotReadReply> replies;
-  const auto local_group = groups.find(ctx_.options.id);
+  // Serve the local group inline while remote sites work in parallel; its
+  // reply completes the round like any other.
   if (local_group != groups.end()) {
-    replies.push_back(serve_snapshot_read(ctx_, txn->id(), view->epoch,
-                                          local_group->second.op_indices,
-                                          local_group->second.ops));
+    net::SnapshotReadReply reply = serve_snapshot_read(
+        ctx_, txn->id(), view->epoch, local_group->second.op_indices,
+        local_group->second.ops);
+    sync::MutexLock lock(ctx_.resp_mutex);
+    ctx_.snapshot_replies[txn->id()].replies[ctx_.options.id] =
+        std::move(reply);
   }
-  if (!remote.empty()) {
-    std::map<SiteId, net::SnapshotReadReply> collected =
-        await_snapshot_replies(txn->id(), remote);
-    {
-      sync::MutexLock lock(ctx_.resp_mutex);
-      ctx_.snapshot_replies.erase(txn->id());
-    }
-    if (!ctx_.running.load()) return;  // halt() completes the txn
-    if (collected.size() != remote.size()) {
-      txn->set_abort_reason(txn::AbortReason::kSiteFailure);
-      for (const auto& [site, request] : groups) {
-        if (site != ctx_.options.id && collected.count(site) == 0) {
-          txn::OperationState& state =
-              txn->state_of(request.op_indices.front());
-          state.failed = true;
-          state.reason = txn::AbortReason::kSiteFailure;
-          state.error = "snapshot-read timeout (site " +
-                        std::to_string(site) + ")";
-          break;
-        }
-      }
-      finish_transaction(txn, TxnState::kAborted);
-      return;
-    }
-    for (auto& [site, reply] : collected) {
-      (void)site;
-      replies.push_back(std::move(reply));
-    }
+  SiteContext::ParkedRound round;
+  round.kind = SiteContext::ParkedRound::Kind::kSnapshot;
+  round.txn = txn;
+  park(std::move(round));
+}
+
+void Coordinator::complete_snapshot(const TransactionPtr& txn,
+                                    SiteContext::SnapshotSlot slot) {
+  for (const auto& [site, op_index] : slot.expected) {
+    if (slot.replies.count(site) != 0) continue;
+    txn->set_abort_reason(txn::AbortReason::kSiteFailure);
+    txn::OperationState& state = txn->state_of(op_index);
+    state.failed = true;
+    state.reason = txn::AbortReason::kSiteFailure;
+    state.error = "snapshot-read timeout (site " + std::to_string(site) + ")";
+    finish_transaction(txn, TxnState::kAborted);
+    return;
   }
 
-  for (net::SnapshotReadReply& reply : replies) {
+  for (auto& [site, reply] : slot.replies) {
+    (void)site;
     if (!reply.ok) {
       const txn::AbortReason reason = reply.reason != txn::AbortReason::kNone
                                           ? reply.reason
@@ -320,12 +335,12 @@ void Coordinator::execute_remote(const TransactionPtr& txn,
   state.reset_attempt();
   const auto attempt = state.attempts;
 
-  const std::set<SiteId> expected(sites.begin(), sites.end());
   {
     sync::MutexLock lock(ctx_.resp_mutex);
     SiteContext::ResponseSlot& slot =
         ctx_.responses[{txn->id(), static_cast<std::uint32_t>(op_index)}];
     slot.attempt = attempt;
+    slot.expected = sites.size();
     slot.replies.clear();
   }
   for (SiteId site : sites) {
@@ -333,16 +348,30 @@ void Coordinator::execute_remote(const TransactionPtr& txn,
                         txn->id(), static_cast<std::uint32_t>(op_index),
                         attempt, ctx_.options.id, txn->catalog_epoch(), op});
   }
-  const std::map<SiteId, net::OperationResult> replies = await_responses(
-      txn->id(), static_cast<std::uint32_t>(op_index), attempt, expected);
+  SiteContext::ParkedRound round;
+  round.kind = SiteContext::ParkedRound::Kind::kExecute;
+  round.txn = txn;
+  round.op_index = static_cast<std::uint32_t>(op_index);
+  park(std::move(round));
+}
+
+void Coordinator::complete_remote(const TransactionPtr& txn,
+                                  std::uint32_t op_index) {
+  SiteContext::ResponseSlot slot;
   {
     sync::MutexLock lock(ctx_.resp_mutex);
-    ctx_.responses.erase({txn->id(), static_cast<std::uint32_t>(op_index)});
+    const auto it = ctx_.responses.find({txn->id(), op_index});
+    if (it != ctx_.responses.end()) {
+      slot = std::move(it->second);
+      ctx_.responses.erase(it);
+    }
   }
-  if (!ctx_.running.load()) return;
+  txn::OperationState& state = txn->state_of(op_index);
+  const std::map<SiteId, net::OperationResult>& replies = slot.replies;
+  const bool timed_out = slot.expected == 0 || !slot.complete();
 
   bool any_conflict = false;
-  bool any_failed = replies.size() != expected.size();  // timeout == failure
+  bool any_failed = timed_out;
   bool any_deadlock = false;
   txn::AbortReason participant_reason = txn::AbortReason::kNone;
   std::string participant_error;
@@ -365,7 +394,7 @@ void Coordinator::execute_remote(const TransactionPtr& txn,
     txn->add_sites(executed_at);
     state.failed = any_failed;
     state.deadlock = any_deadlock;
-    if (replies.size() != expected.size()) {
+    if (timed_out) {
       state.reason = txn::AbortReason::kSiteFailure;
       state.error = "participant response timeout";
     } else if (any_failed) {
@@ -383,8 +412,7 @@ void Coordinator::execute_remote(const TransactionPtr& txn,
   if (any_conflict) {
     // Alg. 1 l. 15-17: undo the operation wherever it executed; wait.
     for (SiteId site : executed_at) {
-      ctx_.send(site, net::UndoOperation{
-                          txn->id(), static_cast<std::uint32_t>(op_index)});
+      ctx_.send(site, net::UndoOperation{txn->id(), op_index});
     }
     enter_wait(txn);
     return;
@@ -392,13 +420,8 @@ void Coordinator::execute_remote(const TransactionPtr& txn,
 
   // Executed everywhere: adopt the rows of the lowest-id replica.
   state.executed = true;
-  txn->add_sites(std::vector<SiteId>(expected.begin(), expected.end()));
-  for (const auto& [site, reply] : replies) {
-    if (reply.executed) {
-      state.rows = reply.rows;
-      break;  // map iteration is ordered by site id
-    }
-  }
+  txn->add_sites(executed_at);
+  state.rows = std::move(slot.replies.begin()->second.rows);  // lowest site id
   requeue(txn);
 }
 
@@ -417,26 +440,27 @@ void Coordinator::enter_wait(const TransactionPtr& txn) {
     abort_transaction(txn, /*deadlock_victim=*/false);
     return;
   }
-  hand_back_claim(txn, /*park=*/true);
+  hand_back_claim(txn, /*to_waiting=*/true);
 }
 
 void Coordinator::requeue(const TransactionPtr& txn) {
-  hand_back_claim(txn, /*park=*/false);
+  hand_back_claim(txn, /*to_waiting=*/false);
 }
 
-void Coordinator::hand_back_claim(const TransactionPtr& txn, bool park) {
+void Coordinator::hand_back_claim(const TransactionPtr& txn,
+                                  bool to_waiting) {
   bool abort_now = false;
   bool requeued = false;
   {
     sync::MutexLock lock(ctx_.coord_mutex);
     if (ctx_.deferred_victims.erase(txn->id()) != 0) {
       abort_now = true;  // claim retained; abort below
-    } else if (park && ctx_.pending_wakes.erase(txn->id()) == 0) {
+    } else if (to_waiting && ctx_.pending_wakes.erase(txn->id()) == 0) {
       txn->set_state(TxnState::kWaiting);
       ctx_.executing.erase(txn->id());
       ctx_.waiting[txn->id()] = Clock::now();
     } else {
-      // Plain requeue — or a wake overtook the park; retry immediately.
+      // Plain requeue — or a wake overtook the wait; retry immediately.
       txn->set_state(TxnState::kActive);
       ctx_.executing.erase(txn->id());
       ctx_.ready.push_back(txn);
@@ -450,56 +474,65 @@ void Coordinator::hand_back_claim(const TransactionPtr& txn, bool park) {
   }
 }
 
-std::map<SiteId, net::OperationResult> Coordinator::await_responses(
-    TxnId txn, std::uint32_t op_index, std::uint32_t attempt,
-    const std::set<SiteId>& expected) {
-  const auto deadline = Clock::now() + ctx_.options.response_timeout;
-  sync::MutexLock lock(ctx_.resp_mutex);
-  const auto key = std::make_pair(txn, op_index);
-  for (;;) {
-    const auto it = ctx_.responses.find(key);
-    if (it == ctx_.responses.end() || it->second.attempt != attempt) {
-      return {};
-    }
-    if (it->second.replies.size() >= expected.size()) {
-      return it->second.replies;
-    }
-    if (!ctx_.running.load() || Clock::now() >= deadline) {
-      return it->second.replies;  // partial (timeout / shutdown)
-    }
-    ctx_.resp_cv.wait_until(ctx_.resp_mutex, deadline);
+void Coordinator::park(SiteContext::ParkedRound round) {
+  const TxnId id = round.txn->id();
+  round.deadline = Clock::now() + ctx_.options.response_timeout;
+  bool queued = false;
+  {
+    sync::MutexLock lock(ctx_.coord_mutex);
+    // The dispatcher files a reply before it looks for the parked entry,
+    // so a round that completed before this point is seen here instead.
+    round.queued = round_complete(id, round);
+    queued = round.queued;
+    ctx_.executing.erase(id);
+    ctx_.parked.emplace(id, std::move(round));
+    if (queued) ctx_.resumable.push_back(id);
   }
+  if (queued) ctx_.coord_cv.notify_all();
 }
 
-std::map<SiteId, bool> Coordinator::await_acks(TxnId txn,
-                                               const std::set<SiteId>& expected,
-                                               bool commit) {
-  (void)commit;
-  const auto deadline = Clock::now() + ctx_.options.response_timeout;
-  sync::MutexLock lock(ctx_.ack_mutex);
-  for (;;) {
-    const auto it = ctx_.acks.find(txn);
-    if (it == ctx_.acks.end()) return {};
-    if (it->second.acks.size() >= expected.size()) return it->second.acks;
-    if (!ctx_.running.load() || Clock::now() >= deadline) {
-      return it->second.acks;
-    }
-    ctx_.ack_cv.wait_until(ctx_.ack_mutex, deadline);
+bool Coordinator::round_complete(TxnId txn,
+                                 const SiteContext::ParkedRound& round) {
+  using Kind = SiteContext::ParkedRound::Kind;
+  if (round.kind == Kind::kExecute) {
+    sync::MutexLock lock(ctx_.resp_mutex);
+    const auto it = ctx_.responses.find({txn, round.op_index});
+    return it == ctx_.responses.end() || it->second.complete();
   }
-}
-
-std::map<SiteId, net::SnapshotReadReply> Coordinator::await_snapshot_replies(
-    TxnId txn, const std::set<SiteId>& expected) {
-  const auto deadline = Clock::now() + ctx_.options.response_timeout;
-  sync::MutexLock lock(ctx_.resp_mutex);
-  for (;;) {
+  if (round.kind == Kind::kSnapshot) {
+    sync::MutexLock lock(ctx_.resp_mutex);
     const auto it = ctx_.snapshot_replies.find(txn);
-    if (it == ctx_.snapshot_replies.end()) return {};
-    if (it->second.size() >= expected.size()) return it->second;
-    if (!ctx_.running.load() || Clock::now() >= deadline) {
-      return it->second;  // partial (timeout / shutdown)
+    return it == ctx_.snapshot_replies.end() || it->second.complete();
+  }
+  sync::MutexLock lock(ctx_.ack_mutex);
+  const auto it = ctx_.acks.find(txn);
+  return it == ctx_.acks.end() || it->second.complete();
+}
+
+void Coordinator::resume(const SiteContext::ParkedRound& round) {
+  switch (round.kind) {
+    case SiteContext::ParkedRound::Kind::kExecute:
+      complete_remote(round.txn, round.op_index);
+      return;
+    case SiteContext::ParkedRound::Kind::kSnapshot: {
+      SiteContext::SnapshotSlot slot;
+      {
+        sync::MutexLock lock(ctx_.resp_mutex);
+        const auto it = ctx_.snapshot_replies.find(round.txn->id());
+        if (it != ctx_.snapshot_replies.end()) {
+          slot = std::move(it->second);
+          ctx_.snapshot_replies.erase(it);
+        }
+      }
+      complete_snapshot(round.txn, std::move(slot));
+      return;
     }
-    ctx_.resp_cv.wait_until(ctx_.resp_mutex, deadline);
+    case SiteContext::ParkedRound::Kind::kCommit:
+      complete_commit_round(round.txn, round.commit_round);
+      return;
+    case SiteContext::ParkedRound::Kind::kAbort:
+      complete_abort(round.txn);
+      return;
   }
 }
 
@@ -564,28 +597,47 @@ void Coordinator::commit_transaction(const TransactionPtr& txn) {
   {
     sync::MutexLock lock(ctx_.ack_mutex);
     SiteContext::AckSlot& slot = ctx_.acks[txn->id()];
-    slot.commit = true;
+    slot.expected = remote.size();
     slot.acks.clear();
+  }
+  send_commit_round(txn, remote, 0);
+}
+
+void Coordinator::send_commit_round(const TransactionPtr& txn,
+                                    const std::set<SiteId>& sites,
+                                    std::uint32_t commit_round) {
+  for (SiteId site : sites) {
+    ctx_.send(site, net::CommitRequest{txn->id()});
+  }
+  SiteContext::ParkedRound round;
+  round.kind = SiteContext::ParkedRound::Kind::kCommit;
+  round.txn = txn;
+  round.commit_round = commit_round;
+  park(std::move(round));
+}
+
+void Coordinator::complete_commit_round(const TransactionPtr& txn,
+                                        std::uint32_t commit_round) {
+  std::set<SiteId> pending = txn->sites();
+  pending.erase(ctx_.options.id);
+  std::map<SiteId, bool> acks;
+  {
+    sync::MutexLock lock(ctx_.ack_mutex);
+    acks = ctx_.acks[txn->id()].acks;
+  }
+  for (const auto& [site, ok] : acks) {
+    (void)ok;
+    pending.erase(site);
   }
   const std::uint32_t rounds =
       std::max<std::uint32_t>(1, ctx_.options.commit_ack_rounds);
-  std::set<SiteId> pending = remote;
-  std::map<SiteId, bool> acks;
-  for (std::uint32_t round = 0; round < rounds && !pending.empty();
-       ++round) {
-    if (round > 0) {
+  if (!pending.empty() && commit_round + 1 < rounds) {
+    {
       sync::MutexLock lock(ctx_.stats_mutex);
       ctx_.stats.commit_resends += pending.size();
     }
-    for (SiteId site : pending) {
-      ctx_.send(site, net::CommitRequest{txn->id()});
-    }
-    acks = await_acks(txn->id(), remote, /*commit=*/true);
-    for (const auto& [site, ok] : acks) {
-      (void)ok;
-      pending.erase(site);
-    }
-    if (!ctx_.running.load()) break;
+    send_commit_round(txn, pending, commit_round + 1);
+    return;
   }
   {
     sync::MutexLock lock(ctx_.ack_mutex);
@@ -613,34 +665,52 @@ void Coordinator::abort_transaction(const TransactionPtr& txn,
   if (deadlock_victim) txn->mark_deadlock_victim();
   std::set<SiteId> remote = txn->sites();
   remote.erase(ctx_.options.id);
-  if (!remote.empty()) {
-    {
-      sync::MutexLock lock(ctx_.ack_mutex);
-      SiteContext::AckSlot& slot = ctx_.acks[txn->id()];
-      slot.commit = false;
-      slot.acks.clear();
-    }
-    for (SiteId site : remote) {
-      ctx_.send(site, net::AbortRequest{txn->id()});
-    }
-    const std::map<SiteId, bool> acks =
-        await_acks(txn->id(), remote, /*commit=*/false);
-    {
-      sync::MutexLock lock(ctx_.ack_mutex);
-      ctx_.acks.erase(txn->id());
-    }
-    bool all_ok = acks.size() == remote.size();
-    for (const auto& [site, ok] : acks) all_ok &= ok;
-    if (!all_ok && ctx_.running.load()) {
-      // Alg. 6 l. 5-10: the cancellation itself failed somewhere -> the
-      // transaction *fails*; every site is told so.
-      for (SiteId site : remote) {
-        ctx_.send(site, net::FailNotice{txn->id()});
-      }
-      fail_transaction(txn);
-      return;
+  if (remote.empty()) {
+    abort_locally(txn);
+    return;
+  }
+  {
+    sync::MutexLock lock(ctx_.ack_mutex);
+    SiteContext::AckSlot& slot = ctx_.acks[txn->id()];
+    slot.expected = remote.size();
+    slot.acks.clear();
+  }
+  for (SiteId site : remote) {
+    ctx_.send(site, net::AbortRequest{txn->id()});
+  }
+  SiteContext::ParkedRound round;
+  round.kind = SiteContext::ParkedRound::Kind::kAbort;
+  round.txn = txn;
+  park(std::move(round));
+}
+
+void Coordinator::complete_abort(const TransactionPtr& txn) {
+  std::set<SiteId> remote = txn->sites();
+  remote.erase(ctx_.options.id);
+  std::map<SiteId, bool> acks;
+  {
+    sync::MutexLock lock(ctx_.ack_mutex);
+    const auto it = ctx_.acks.find(txn->id());
+    if (it != ctx_.acks.end()) {
+      acks = std::move(it->second.acks);
+      ctx_.acks.erase(it);
     }
   }
+  bool all_ok = acks.size() == remote.size();
+  for (const auto& [site, ok] : acks) all_ok &= ok;
+  if (!all_ok) {
+    // Alg. 6 l. 5-10: the cancellation itself failed somewhere -> the
+    // transaction *fails*; every site is told so.
+    for (SiteId site : remote) {
+      ctx_.send(site, net::FailNotice{txn->id()});
+    }
+    fail_transaction(txn);
+    return;
+  }
+  abort_locally(txn);
+}
+
+void Coordinator::abort_locally(const TransactionPtr& txn) {
   // Alg. 6 l. 13-14: undo and release locally.
   std::vector<WakeNotice> wakes;
   ctx_.locks().abort(txn->id(), wakes);

@@ -1,9 +1,15 @@
 // Coordinator (paper Alg. 1): the scheduler of locally-submitted
-// transactions. One operation of one available transaction at a time per
-// worker — the Site runs `SiteOptions::coordinator_workers` threads over one
-// shared Coordinator, so several local transactions progress concurrently
-// while each individual transaction is still executed one operation at a
-// time by exactly one worker (the `executing` claim in SiteContext).
+// transactions, run by a pool of `SiteOptions::coordinator_workers` threads
+// over one shared Coordinator. A worker runs one step of one transaction at
+// a time (the `executing` claim in SiteContext): an operation, a snapshot
+// read, a commit or an abort. A step that sends a network round — the
+// Alg. 1 execute fan-out, a remote snapshot read, or the Alg. 5/6 commit
+// and abort broadcasts — ends by parking the transaction instead of
+// waiting for the replies, and the worker goes back to the queues. When the
+// dispatcher files the round's last reply (or the response timeout passes)
+// the transaction becomes resumable and the next free worker runs the rest
+// of the step. No worker ever waits on the network, so one slow round
+// delays only its own transaction.
 #pragma once
 
 #include <map>
@@ -30,9 +36,9 @@ class Coordinator {
   using TransactionPtr = std::shared_ptr<txn::Transaction>;
 
   /// Drains victim aborts (Alg. 4 hands them to the scheduler). Victims
-  /// claimed by another worker are parked in deferred_victims. Unlocks /
-  /// relocks `lock` around each abort (coord_mutex is held again on
-  /// return, which is all the REQUIRES clause promises).
+  /// that are claimed (executing or parked) are held in deferred_victims.
+  /// Unlocks / relocks `lock` around each abort (coord_mutex is held again
+  /// on return, which is all the REQUIRES clause promises).
   void process_victims(sync::UniqueLock& lock)
       DTX_REQUIRES(ctx_.coord_mutex);
 
@@ -69,25 +75,39 @@ class Coordinator {
   void requeue(const TransactionPtr& txn);
 
   /// The one claim-handback sequence both of the above go through: consume
-  /// a parked victim abort (claim retained, abort runs), else release the
-  /// claim and park (`park`, unless a wake overtook us) or re-queue.
-  void hand_back_claim(const TransactionPtr& txn, bool park);
+  /// a deferred victim abort (claim retained, abort runs), else release the
+  /// claim and wait (`to_waiting`, unless a wake overtook us) or re-queue.
+  void hand_back_claim(const TransactionPtr& txn, bool to_waiting);
 
-  /// Blocks until every site in `expected` answered (txn, op, attempt) or
-  /// the response timeout elapsed. Returns the replies collected.
-  std::map<SiteId, net::OperationResult> await_responses(
-      lock::TxnId txn, std::uint32_t op_index, std::uint32_t attempt,
-      const std::set<SiteId>& expected);
+  /// Ends a step that sent a network round: the worker's claim passes to
+  /// the round. If every reply already arrived the transaction is queued
+  /// for resumption at once (checked under coord_mutex, so no wake-up from
+  /// the dispatcher can be lost in between).
+  void park(SiteContext::ParkedRound round);
 
-  /// Blocks for commit/abort acks from `expected`. Returns site -> ok.
-  std::map<SiteId, bool> await_acks(lock::TxnId txn,
-                                    const std::set<SiteId>& expected,
-                                    bool commit);
+  /// True when the round's reply slot holds every expected reply.
+  bool round_complete(lock::TxnId txn, const SiteContext::ParkedRound& round)
+      DTX_REQUIRES(ctx_.coord_mutex);
 
-  /// Blocks until every serving site answered the snapshot read or the
-  /// response timeout elapsed. Returns the replies collected.
-  std::map<SiteId, net::SnapshotReadReply> await_snapshot_replies(
-      lock::TxnId txn, const std::set<SiteId>& expected);
+  /// Runs the rest of the step a parked round belongs to.
+  void resume(const SiteContext::ParkedRound& round);
+
+  /// The second halves of the steps that park: they read (and drop) the
+  /// round's reply slot; missing replies mean the round timed out.
+  void complete_remote(const TransactionPtr& txn, std::uint32_t op_index);
+  void complete_snapshot(const TransactionPtr& txn,
+                         SiteContext::SnapshotSlot slot);
+  void complete_commit_round(const TransactionPtr& txn,
+                             std::uint32_t commit_round);
+  void complete_abort(const TransactionPtr& txn);
+
+  /// Alg. 6 l. 13-14: undo and release locally, then finish as aborted.
+  void abort_locally(const TransactionPtr& txn);
+
+  /// Sends one CommitRequest round to `sites` and parks on the acks.
+  void send_commit_round(const TransactionPtr& txn,
+                         const std::set<SiteId>& sites,
+                         std::uint32_t commit_round);
 
   SiteContext& ctx_;
 };

@@ -37,7 +37,8 @@ std::string describe_site(Site& site) {
       << " clones=" << stats.snapshots.clones
       << " materializes=" << stats.snapshots.materializes
       << " cut_retries=" << stats.snapshots.cut_retries
-      << " chain_bytes_peak=" << stats.snapshots.chain_bytes_peak << "\n";
+      << " chain_bytes_peak=" << stats.snapshots.chain_bytes_peak
+      << " cached_trees=" << stats.snapshots.cached_trees << "\n";
   const auto& table = site.lock_manager().table();
   if (table.shard_count() > 1) {
     out << "  lock shards (" << table.shard_count() << "):";

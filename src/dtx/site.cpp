@@ -75,8 +75,6 @@ void Site::halt() {
   ctx_.mailbox.interrupt();
   ctx_.coord_cv.notify_all();
   ctx_.part_cv.notify_all();
-  ctx_.resp_cv.notify_all();
-  ctx_.ack_cv.notify_all();
   if (dispatcher_.joinable()) dispatcher_.join();
   for (std::thread& worker : coordinator_threads_) {
     if (worker.joinable()) worker.join();
@@ -109,11 +107,11 @@ void Site::stop() {
 }
 
 void Site::wipe_volatile_state() {
-  // Scheduler queues, response/ack collection, participant tracking and
-  // the outcome cache — everything a process crash loses (the durable
-  // commit log is reloaded by start()). Also run before a restart after a
-  // graceful stop(): the queues may still hold transactions that halt()
-  // completed, and new workers must never re-execute those.
+  // Scheduler queues, parked rounds and their reply slots, participant
+  // tracking and the outcome cache — everything a process crash loses (the
+  // durable commit log is reloaded by start()). Also run before a restart
+  // after a graceful stop(): the queues may still hold transactions that
+  // halt() completed, and new workers must never re-execute those.
   {
     sync::MutexLock lock(ctx_.coord_mutex);
     ctx_.ready.clear();
@@ -122,6 +120,8 @@ void Site::wipe_volatile_state() {
     ctx_.pending_wakes.clear();
     ctx_.victim_aborts.clear();
     ctx_.executing.clear();
+    ctx_.parked.clear();
+    ctx_.resumable.clear();
     ctx_.deferred_victims.clear();
     ctx_.recent_outcomes.clear();
     ctx_.outcome_fifo.clear();
@@ -220,8 +220,9 @@ SiteStats Site::stats() {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatcher: mailbox routing, deadlock-detector cadence and the
-// presumed-abort orphan sweep.
+// Dispatcher: mailbox routing, resumption of parked coordinator rounds (on
+// their last reply, or their response timeout), deadlock-detector cadence
+// and the presumed-abort orphan sweep.
 // ---------------------------------------------------------------------------
 
 void Site::dispatcher_loop() {
@@ -247,35 +248,45 @@ void Site::dispatcher_loop() {
               }
               ctx_.part_cv.notify_all();
             } else if constexpr (std::is_same_v<T, net::OperationResult>) {
+              // Each reply kind: file it in its round's slot, then — with
+              // the slot mutex released — resume the transaction if that
+              // was the last reply the round waited for.
+              const TxnId txn = payload.txn;
+              bool complete = false;
               {
                 sync::MutexLock lock(ctx_.resp_mutex);
-                const auto it =
-                    ctx_.responses.find({payload.txn, payload.op_index});
+                const auto it = ctx_.responses.find({txn, payload.op_index});
                 if (it != ctx_.responses.end() &&
                     it->second.attempt == payload.attempt) {
                   it->second.replies[m.from] = std::move(payload);
+                  complete = it->second.complete();
                 }
               }
-              ctx_.resp_cv.notify_all();
+              if (complete) ctx_.round_completed(txn);
             } else if constexpr (std::is_same_v<T, net::SnapshotReadReply>) {
+              const TxnId txn = payload.txn;
+              bool complete = false;
               {
                 sync::MutexLock lock(ctx_.resp_mutex);
-                const auto it = ctx_.snapshot_replies.find(payload.txn);
+                const auto it = ctx_.snapshot_replies.find(txn);
                 if (it != ctx_.snapshot_replies.end()) {
-                  it->second[m.from] = std::move(payload);
+                  it->second.replies[m.from] = std::move(payload);
+                  complete = it->second.complete();
                 }
               }
-              ctx_.resp_cv.notify_all();
+              if (complete) ctx_.round_completed(txn);
             } else if constexpr (std::is_same_v<T, net::CommitAck> ||
                                  std::is_same_v<T, net::AbortAck>) {
+              bool complete = false;
               {
                 sync::MutexLock lock(ctx_.ack_mutex);
                 const auto it = ctx_.acks.find(payload.txn);
                 if (it != ctx_.acks.end()) {
                   it->second.acks[m.from] = payload.ok;
+                  complete = it->second.complete();
                 }
               }
-              ctx_.ack_cv.notify_all();
+              if (complete) ctx_.round_completed(payload.txn);
             } else if constexpr (std::is_same_v<T, net::ClientSubmit>) {
               handle_client_submit(m.from, std::move(payload));
             } else if constexpr (std::is_same_v<T, net::RecoveryPullRequest>) {
@@ -344,6 +355,10 @@ void Site::dispatcher_loop() {
           m.payload);
     }
     run_deadlock_detection(now);
+    if (now >= next_round_expiry_) {
+      ctx_.expire_rounds(now);
+      next_round_expiry_ = now + ctx_.options.poll_interval;
+    }
     sweep_orphans(now);
     membership_tick(now);
   }

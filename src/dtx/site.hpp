@@ -3,11 +3,17 @@
 // network. The engine is staged across three units sharing one SiteContext:
 //
 //  * dispatcher (this file)      — drains the mailbox and routes messages;
-//                                  also fires the periodic distributed
-//                                  deadlock detector (Alg. 4);
+//                                  files round replies and resumes the
+//                                  parked transaction a round's last reply
+//                                  (or its timeout) completes; also fires
+//                                  the periodic distributed deadlock
+//                                  detector (Alg. 4);
 //  * Coordinator (coordinator.*) — the scheduler of Alg. 1, run by a pool of
 //                                  `coordinator_workers` threads pulling
-//                                  ready transactions from a shared queue;
+//                                  resumed, then ready transactions from
+//                                  shared queues; a step that sends a
+//                                  network round parks its transaction
+//                                  rather than waiting for the replies;
 //  * Participant (participant.*) — the loop of Alg. 2, run by
 //                                  `participant_workers` threads ("this
 //                                  procedure is also common to the
@@ -209,6 +215,8 @@ class Site {
   /// Pull pacing per fenced document.
   std::map<std::string, Clock::time_point> last_pull_;
   Clock::time_point last_reconcile_{};
+  /// Dispatcher pacing of the parked-round timeout scan (poll_interval).
+  Clock::time_point next_round_expiry_{};
   bool leaving_ = false;
   std::atomic<bool> decommissioned_{false};
 

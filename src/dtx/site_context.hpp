@@ -5,13 +5,17 @@
 // Scheduler-state invariant: an uncompleted transaction coordinated here is
 // in exactly one of
 //   ready      — queued for a coordinator worker,
-//   waiting    — parked on a lock conflict (woken by WakeTxn / the retry
-//                backstop),
-//   executing  — claimed by one coordinator worker for one operation.
+//   waiting    — held back by a lock conflict (woken by WakeTxn / the
+//                retry backstop),
+//   executing  — claimed by one coordinator worker for one step,
+//   parked     — claimed by a network round it sent (execute, snapshot
+//                read, commit or abort) that no worker waits on; the
+//                dispatcher queues it on `resumable` when the last reply
+//                arrives or the response timeout passes.
 // Transitions happen under coord_mutex, which is what makes a *pool* of
 // coordinator workers safe: no two workers can claim the same transaction,
-// and victim aborts for an executing transaction are parked in
-// deferred_victims until its worker hands the claim back.
+// and victim aborts for a claimed (executing or parked) transaction are
+// held in deferred_victims until the claim is handed back.
 //
 // Crash/recovery: the engine components that a crash wipes — DataManager,
 // LockManager, PlanCache — live behind owning pointers so Site::restart()
@@ -55,12 +59,16 @@ inline std::uint64_t steady_now_micros() {
 struct SiteOptions {
   SiteId id = 0;
   lock::ProtocolKind protocol = lock::ProtocolKind::kXdgl;
-  /// Coordinator (Alg. 1) worker threads pulling ready transactions from the
-  /// shared queue. 1 = the paper's single scheduler loop, preserved
-  /// bit-for-bit; >1 keeps several local transactions in flight at once.
+  /// Coordinator (Alg. 1) worker threads pulling resumed and ready
+  /// transactions from the shared queues. No worker waits on the network:
+  /// a transaction that sent a round is parked until its replies arrive, so
+  /// even one worker keeps every local transaction in flight. >1 adds
+  /// parallelism for the coordinator's own CPU work (local operations,
+  /// lock sets, local snapshot reads).
   std::size_t coordinator_workers = 1;
-  /// Participant (Alg. 2) executor threads. Safe at any count: the
-  /// coordinator's await barriers order every per-transaction message pair.
+  /// Participant (Alg. 2) executor threads. Safe at any count: a
+  /// transaction sends its next round only after every reply of the last
+  /// one arrived, which orders every per-transaction message pair.
   std::size_t participant_workers = 1;
   /// Shards of the site lock table (1 = single-monitor behavior).
   std::size_t lock_shards = 1;
@@ -235,9 +243,24 @@ struct SiteContext {
       DTX_GUARDED_BY(coord_mutex);
   std::set<lock::TxnId> pending_wakes DTX_GUARDED_BY(coord_mutex);
   std::deque<lock::TxnId> victim_aborts DTX_GUARDED_BY(coord_mutex);
-  /// Transactions currently claimed by a coordinator worker.
+  /// Transactions a coordinator worker is running a step of.
   std::set<lock::TxnId> executing DTX_GUARDED_BY(coord_mutex);
-  /// Victim aborts parked because the transaction was executing.
+  /// A network round a parked transaction waits on: the step that resumes
+  /// it and when the round times out.
+  struct ParkedRound {
+    enum class Kind { kExecute, kSnapshot, kCommit, kAbort };
+    Kind kind = Kind::kExecute;
+    std::shared_ptr<txn::Transaction> txn;
+    std::uint32_t op_index = 0;      ///< kExecute: the operation sent
+    std::uint32_t commit_round = 0;  ///< kCommit: resends so far
+    Clock::time_point deadline{};
+    bool queued = false;  ///< already on `resumable`
+  };
+  std::map<lock::TxnId, ParkedRound> parked DTX_GUARDED_BY(coord_mutex);
+  /// Parked transactions whose round completed or timed out, in the order
+  /// they became resumable. Workers take these before `ready`.
+  std::deque<lock::TxnId> resumable DTX_GUARDED_BY(coord_mutex);
+  /// Victim aborts held back because the transaction was claimed.
   std::set<lock::TxnId> deferred_victims DTX_GUARDED_BY(coord_mutex);
   std::uint64_t last_begin_micros DTX_GUARDED_BY(coord_mutex) = 0;
 
@@ -346,28 +369,43 @@ struct SiteContext {
     return importing_docs.count(doc) != 0;
   }
 
-  // --- remote-operation response collection (resp_mutex) ---------------------
+  // --- round reply collection (resp_mutex, ack_mutex) -------------------------
+  // One slot per parked round, filled by the dispatcher. A round is
+  // complete once `expected` sites answered; the dispatcher then resumes
+  // the transaction (after releasing the slot mutex: coord_mutex ranks
+  // first).
   struct ResponseSlot {
     std::uint32_t attempt = 0;
+    std::size_t expected = 0;
     std::map<SiteId, net::OperationResult> replies;
+    [[nodiscard]] bool complete() const { return replies.size() >= expected; }
   };
   sync::Mutex resp_mutex{sync::LockRank::kSiteResponses};
-  sync::CondVar resp_cv;
   std::map<std::pair<lock::TxnId, std::uint32_t>, ResponseSlot> responses
       DTX_GUARDED_BY(resp_mutex);
-  /// Snapshot-read reply collection (also resp_mutex / resp_cv): one slot
-  /// per in-flight read-only transaction, filled by the dispatcher with
-  /// each serving site's SnapshotReadReply.
-  std::map<lock::TxnId, std::map<SiteId, net::SnapshotReadReply>>
-      snapshot_replies DTX_GUARDED_BY(resp_mutex);
+  /// Snapshot-read reply collection (also resp_mutex): one slot per
+  /// in-flight read-only transaction, holding each serving site's
+  /// SnapshotReadReply (the coordinator files its own local one too).
+  struct SnapshotSlot {
+    /// Serving site -> first operation index of its group (the operation
+    /// a timeout is charged to).
+    std::map<SiteId, std::uint32_t> expected;
+    std::map<SiteId, net::SnapshotReadReply> replies;
+    [[nodiscard]] bool complete() const {
+      return replies.size() >= expected.size();
+    }
+  };
+  std::map<lock::TxnId, SnapshotSlot> snapshot_replies
+      DTX_GUARDED_BY(resp_mutex);
 
-  // --- commit / abort ack collection (ack_mutex) ------------------------------
+  /// Commit / abort ack collection. Commit resend rounds share one slot,
+  /// so acks accumulate across rounds.
   struct AckSlot {
-    bool commit = false;
+    std::size_t expected = 0;
     std::map<SiteId, bool> acks;
+    [[nodiscard]] bool complete() const { return acks.size() >= expected; }
   };
   sync::Mutex ack_mutex{sync::LockRank::kSiteAcks};
-  sync::CondVar ack_cv;
   std::map<lock::TxnId, AckSlot> acks DTX_GUARDED_BY(ack_mutex);
 
   // --- stats (stats_mutex) ----------------------------------------------------
@@ -383,6 +421,37 @@ struct SiteContext {
     for (const WakeNotice& wake : wakes) {
       send(wake.coordinator, net::WakeTxn{wake.waiter});
     }
+  }
+
+  // --- parked-round wake-ups --------------------------------------------------
+  /// Dispatcher: a reply completed the round `txn` is parked on; queue it
+  /// for a worker. A no-op if it is not parked yet (the park step sees the
+  /// complete slot itself) or is queued already (the deadline fired too).
+  void round_completed(lock::TxnId txn) DTX_EXCLUDES(coord_mutex) {
+    {
+      sync::MutexLock lock(coord_mutex);
+      const auto it = parked.find(txn);
+      if (it == parked.end() || it->second.queued) return;
+      it->second.queued = true;
+      resumable.push_back(txn);
+    }
+    coord_cv.notify_all();
+  }
+
+  /// Dispatcher cadence: queues every parked round whose response timeout
+  /// passed; the resumed step treats the missing replies as a timeout.
+  void expire_rounds(Clock::time_point now) DTX_EXCLUDES(coord_mutex) {
+    bool queued = false;
+    {
+      sync::MutexLock lock(coord_mutex);
+      for (auto& [id, round] : parked) {
+        if (round.queued || now < round.deadline) continue;
+        round.queued = true;
+        resumable.push_back(id);
+        queued = true;
+      }
+    }
+    if (queued) coord_cv.notify_all();
   }
 
  private:

@@ -130,6 +130,17 @@ SnapshotStore::TreePtr SnapshotStore::insert_tree(
     DocState& state, std::uint64_t version,
     std::shared_ptr<xml::Document> tree) {
   state.trees[version] = tree;
+  // Cuts only move forward, so an older tree is worth its memory (a full
+  // document) only while a reader still pins it. A rare laggard cut that
+  // needs a dropped version falls back to wal::materialize_at.
+  for (auto it = state.trees.begin();
+       it != state.trees.end() && it->first < version;) {
+    if (it->second.use_count() == 1) {
+      it = state.trees.erase(it);
+    } else {
+      ++it;
+    }
+  }
   while (state.trees.size() > kTreeCacheDepth) {
     state.trees.erase(state.trees.begin());
   }
@@ -249,6 +260,11 @@ SnapshotStats SnapshotStore::stats() const {
     sync::MutexLock lock(mutex_);
     out.chain_bytes = total_chain_bytes_;
     out.chain_bytes_peak = chain_bytes_peak_;
+    for (const auto& [doc, state] : docs_) {
+      (void)doc;
+      sync::MutexLock doc_lock(state->mutex);
+      out.cached_trees += state->trees.size();
+    }
   }
   return out;
 }

@@ -63,6 +63,7 @@ struct SnapshotStats {
   std::uint64_t cut_retries = 0;   ///< cut re-captures (checkpoint race)
   std::uint64_t chain_bytes = 0;       ///< current delta-chain memory
   std::uint64_t chain_bytes_peak = 0;  ///< high-water mark
+  std::uint64_t cached_trees = 0;      ///< materialized trees cached now
 
   /// Cluster aggregation: counters sum; the byte gauges sum too, i.e. the
   /// cluster-wide chain memory (per-site peaks are in the site stats).
@@ -74,6 +75,7 @@ struct SnapshotStats {
     cut_retries += other.cut_retries;
     chain_bytes += other.chain_bytes;
     chain_bytes_peak += other.chain_bytes_peak;
+    cached_trees += other.cached_trees;
   }
 };
 
@@ -161,8 +163,9 @@ class SnapshotStore {
   util::Result<TreePtr> resolve(const std::string& doc, DocState& state,
                                 std::uint64_t version)
       DTX_EXCLUDES(mutex_);
-  /// Inserts a resolved tree into the cache, evicting the oldest versions
-  /// past the cache cap, and returns the handout pointer.
+  /// Inserts a resolved tree into the cache, dropping older trees no
+  /// reader pins and the oldest versions past the cache cap, and returns
+  /// the handout pointer.
   TreePtr insert_tree(DocState& state, std::uint64_t version,
                       std::shared_ptr<xml::Document> tree)
       DTX_REQUIRES(state.mutex);

@@ -9,7 +9,9 @@ void Mailbox::push(Message message, Clock::time_point deliver_at) {
     sync::MutexLock lock(mutex_);
     queue_.push(Timed{deliver_at, next_sequence_++, std::move(message)});
   }
-  available_.notify_all();
+  // One consumer at a time (a site's dispatcher, or a daemon's startup
+  // loop before it).
+  available_.notify_one();
 }
 
 std::optional<Message> Mailbox::pop(std::chrono::microseconds timeout) {

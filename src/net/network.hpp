@@ -49,7 +49,8 @@ class Mailbox {
  public:
   using Clock = std::chrono::steady_clock;
 
-  /// Enqueues a message due at `deliver_at`.
+  /// Enqueues a message due at `deliver_at` and wakes one waiter: a mailbox
+  /// has one consumer at a time.
   void push(Message message, Clock::time_point deliver_at);
 
   /// Blocks until a message is deliverable or `timeout` elapses.

@@ -2,9 +2,10 @@
 // DataManager, the DeadlockDetector probe lifecycle, the legacy
 // single-site session scenarios (now on client::Session), the site
 // plan-cache integration (remote reuse + wait-mode retry reuse), the
-// file-backed durability path (cluster restart on FileStore) and the
+// file-backed durability path (cluster restart on FileStore), the
 // staged-engine worker pools (coordinator_workers / participant_workers /
-// lock_shards).
+// lock_shards) and the event-driven coordinator (transactions park on
+// network rounds instead of blocking a worker).
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -798,6 +799,125 @@ TEST(StagedEngineTest, DefaultOptionsPreserveSequentialBehavior) {
   const ClusterStats stats = cluster.stats();
   EXPECT_EQ(stats.committed, 5u);
   EXPECT_EQ(stats.aborted + stats.failed, 0u);
+}
+
+// --- event-driven coordinator (parked rounds) --------------------------------
+
+ClusterOptions parking_options() {
+  ClusterOptions options = small_options();
+  options.site.coordinator_workers = 1;
+  options.site.response_timeout = std::chrono::microseconds(2'000'000);
+  return options;
+}
+
+constexpr const char* kTinyXml =
+    "<site><people>"
+    "<person id=\"p1\"><name>Ana</name><phone>111</phone></person>"
+    "</people></site>";
+
+void slow_link(Cluster& cluster, SiteId from, SiteId to) {
+  cluster.network().faults([&](net::FaultPlan& plan) {
+    net::LinkFault slow;
+    slow.extra_delay = std::chrono::microseconds(300'000);
+    plan.set_link_fault(from, to, slow);
+  });
+}
+
+// One worker, one transaction parked on a 300 ms link: a read-only
+// transaction on a document the coordinator hosts must not queue behind it.
+TEST(EventDrivenCoordinatorTest, ParkedRoundDoesNotDelayLocalRead) {
+  Cluster cluster(parking_options());
+  ASSERT_TRUE(cluster.load_document("near", kTinyXml, {0}).is_ok());
+  ASSERT_TRUE(cluster.load_document("far", kTinyXml, {1}).is_ok());
+  ASSERT_TRUE(cluster.start().is_ok());
+  slow_link(cluster, 0, 1);
+
+  auto slow = cluster.submit_text(
+      0, {"update far change /site/people/person[@id='p1']/phone ::= 7"});
+  ASSERT_TRUE(slow.is_ok());
+  std::this_thread::sleep_for(20ms);  // its execute round is in flight
+
+  const auto begin = std::chrono::steady_clock::now();
+  auto read = cluster.execute_text(0, {"query near /site/people/person/name"});
+  const auto elapsed = std::chrono::steady_clock::now() - begin;
+  ASSERT_TRUE(read.is_ok());
+  EXPECT_EQ(read.value().state, TxnState::kCommitted);
+  EXPECT_LT(elapsed, 100ms);
+  EXPECT_FALSE(slow.value()->completed())
+      << "the slow transaction finished before the read; nothing was tested";
+
+  const auto result = slow.value()->await_for(5s);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->state, TxnState::kCommitted);
+}
+
+/// Runs `op` at site 0 against a document only site 1 hosts while every
+/// `Dropped` reply is lost: the round must time out on schedule.
+template <typename Dropped>
+void expect_round_times_out(const std::string& op) {
+  constexpr auto kTimeout = std::chrono::microseconds(200'000);
+  ClusterOptions options = parking_options();
+  options.site.response_timeout = kTimeout;
+  Cluster cluster(options);
+  ASSERT_TRUE(cluster.load_document("far", kTinyXml, {1}).is_ok());
+  ASSERT_TRUE(cluster.start().is_ok());
+  cluster.network().faults([](net::FaultPlan& plan) {
+    plan.set_message_filter([](const net::Message& message) {
+      return std::holds_alternative<Dropped>(message.payload);
+    });
+  });
+  const auto begin = std::chrono::steady_clock::now();
+  auto result = cluster.execute_text(0, {op});
+  const auto elapsed = std::chrono::steady_clock::now() - begin;
+  ASSERT_TRUE(result.is_ok());
+  EXPECT_EQ(result.value().state, TxnState::kAborted);
+  EXPECT_EQ(result.value().reason, txn::AbortReason::kSiteFailure);
+  EXPECT_GE(elapsed, kTimeout);
+  EXPECT_LE(elapsed, kTimeout + 100ms);
+  cluster.stop();
+}
+
+TEST(EventDrivenCoordinatorTest, DroppedOperationResultTimesOutOnSchedule) {
+  expect_round_times_out<net::OperationResult>(
+      "update far change /site/people/person[@id='p1']/phone ::= 7");
+}
+
+TEST(EventDrivenCoordinatorTest, DroppedSnapshotReplyTimesOutOnSchedule) {
+  expect_round_times_out<net::SnapshotReadReply>(
+      "query far /site/people/person/name");
+}
+
+// A victim abort that reaches the coordinator while the victim is parked
+// is deferred (the round holds the claim) and runs once the replies are
+// in; the abort round then cleans the participant up.
+TEST(EventDrivenCoordinatorTest, VictimChosenWhileParkedAbortsAfterReplies) {
+  Cluster cluster(parking_options());
+  ASSERT_TRUE(cluster.load_document("far", kTinyXml, {1}).is_ok());
+  ASSERT_TRUE(cluster.start().is_ok());
+  slow_link(cluster, 0, 1);
+
+  const auto begin = std::chrono::steady_clock::now();
+  auto victim = cluster.submit_text(
+      0, {"update far change /site/people/person[@id='p1']/phone ::= 8"});
+  ASSERT_TRUE(victim.is_ok());
+  std::this_thread::sleep_for(50ms);  // its execute round is in flight
+  // The message Alg. 4's detector sends to a remote victim's coordinator.
+  cluster.network().send(
+      net::Message{1, 0, net::VictimAbort{victim.value()->id()}});
+
+  const auto result = victim.value()->await_for(5s);
+  const auto elapsed = std::chrono::steady_clock::now() - begin;
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->state, TxnState::kAborted);
+  EXPECT_TRUE(result->deadlock_victim);
+  EXPECT_EQ(result->reason, txn::AbortReason::kDeadlockVictim);
+  EXPECT_GE(elapsed, 300ms) << "aborted before its execute replies arrived";
+
+  for (SiteId site = 0; site < 2; ++site) {
+    EXPECT_EQ(cluster.site(site).lock_manager().lock_entries(), 0u)
+        << "site " << site;
+  }
+  cluster.stop();
 }
 
 }  // namespace

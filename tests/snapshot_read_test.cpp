@@ -14,6 +14,7 @@
 //    routes read-only transactions through the lock manager.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -286,6 +287,34 @@ TEST(SnapshotStoreTest, PrunedChainFallsBackToMaterialize) {
   ASSERT_EQ(phones.size(), 1u);
   EXPECT_EQ(phones[0], "q305");
   EXPECT_GE(fx.snaps.stats().materializes, 1u);
+}
+
+TEST(SnapshotStoreTest, UnpinnedOlderTreesLeaveTheCache) {
+  // A reader pinning version v forces the next cut to clone; once the pin
+  // is gone, the next cached version must not keep v's full tree alive.
+  StoreFixture fx;
+  std::optional<SnapshotStore::Cut> pinned;
+  {
+    auto cut = fx.snaps.snapshot({"d"});
+    ASSERT_TRUE(cut.is_ok());
+    pinned = std::move(cut).value();
+  }
+  fx.commit_change(400, "c400");
+  const std::uint64_t clones_before = fx.snaps.stats().clones;
+  ASSERT_TRUE(fx.snaps.snapshot({"d"}).is_ok());
+  EXPECT_EQ(fx.snaps.stats().clones, clones_before + 1)
+      << "a pinned base must be cloned, not advanced in place";
+  EXPECT_EQ(fx.snaps.stats().cached_trees, 2u) << "pinned tree + its clone";
+  pinned.reset();
+  fx.commit_change(401, "c401");
+  auto latest = fx.snaps.snapshot({"d"});
+  ASSERT_TRUE(latest.is_ok());
+  EXPECT_EQ(fx.snaps.stats().cached_trees, 1u)
+      << "the unpinned older tree must leave the cache";
+  const auto phones =
+      eval(latest.value().at("d"), "/site/people/person[@id='p1']/phone");
+  ASSERT_EQ(phones.size(), 1u);
+  EXPECT_EQ(phones[0], "c401");
 }
 
 TEST(SnapshotStoreTest, UnknownDocumentIsRejected) {
