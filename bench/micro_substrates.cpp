@@ -69,6 +69,31 @@ void BM_XPathDescendantScan(benchmark::State& state) {
 }
 BENCHMARK(BM_XPathDescendantScan);
 
+// The workload's 25 % scan shape: one string per person, as the read paths
+// return it.
+void BM_XPathScanStrings(benchmark::State& state) {
+  const workload::XmarkData& data = xmark_of(200'000);
+  auto path = xpath::parse("/site/people/person/name");
+  for (auto _ : state) {
+    auto rows = xpath::evaluate_strings(path.value(), *data.document);
+    benchmark::DoNotOptimize(rows);
+  }
+}
+BENCHMARK(BM_XPathScanStrings);
+
+// The workload's '//' point query: a whole-tree walk, then one predicate
+// test per person.
+void BM_XPathDescendantPoint(benchmark::State& state) {
+  const workload::XmarkData& data = xmark_of(200'000);
+  const std::string id = data.person_ids[data.person_ids.size() / 2];
+  auto path = xpath::parse("//person[@id='" + id + "']/emailaddress");
+  for (auto _ : state) {
+    auto nodes = xpath::evaluate(path.value(), *data.document);
+    benchmark::DoNotOptimize(nodes);
+  }
+}
+BENCHMARK(BM_XPathDescendantPoint);
+
 void BM_XPathParse(benchmark::State& state) {
   for (auto _ : state) {
     auto path = xpath::parse(

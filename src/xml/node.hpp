@@ -98,6 +98,8 @@ class Node {
 
   /// Concatenated text of the entire subtree in document order.
   [[nodiscard]] std::string deep_text() const;
+  /// deep_text() appended to `out`, with no temporary per level.
+  void append_deep_text(std::string& out) const;
 
   /// "/site/people/person" style label path from the root to this node.
   /// Text nodes contribute the pseudo-label "#text".

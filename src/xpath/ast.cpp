@@ -1,6 +1,16 @@
 #include "xpath/ast.hpp"
 
+#include <cstdlib>
+
 namespace dtx::xpath {
+
+std::optional<double> parse_number(const std::string& text) {
+  if (text.empty()) return std::nullopt;
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (end != text.c_str() + text.size()) return std::nullopt;
+  return value;
+}
 
 namespace {
 

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -53,6 +54,9 @@ struct Predicate {
   PredicateKind kind = PredicateKind::kExists;
   RelativePath path;        // for kExists / kEquals
   std::string literal;      // for kEquals
+  /// parse_number(literal), filled in by the parser next to `literal` and
+  /// never written afterwards (plans are shared across threads).
+  std::optional<double> literal_number;
   std::size_t position = 0; // for kPosition (1-based)
 
   [[nodiscard]] std::string to_string() const;
@@ -66,6 +70,10 @@ struct Step {
 
   [[nodiscard]] std::string to_string(bool leading_axis = true) const;
 };
+
+/// `text` as a number when strtod consumes all of it (and it is non-empty);
+/// the numeric half of the equality rule in xpath/evaluator.hpp.
+std::optional<double> parse_number(const std::string& text);
 
 /// A parsed absolute path expression.
 struct Path {

@@ -9,6 +9,14 @@
 //  * equality compares the candidate's string-value (concatenated descendant
 //    text, or attribute value) with the literal — numerically when both
 //    sides parse as numbers, as strings otherwise.
+//
+// Cost model: the evaluator walks the plan's own steps with two reused
+// candidate buffers and filters predicates in place. Existence and equality
+// predicates stop at their first match and build no node set, so child and
+// attribute steps and attribute predicates allocate nothing per candidate
+// node. Only a step from contexts that contain one another (after a '//'
+// step) can reach a node twice or out of order; only such a step is sorted
+// and de-duplicated.
 #pragma once
 
 #include <string>
@@ -33,9 +41,6 @@ std::vector<xml::Node*> evaluate_relative(const RelativePath& path,
 /// paths, string-value of the node otherwise).
 std::vector<std::string> evaluate_strings(const Path& path,
                                           const xml::Document& document);
-
-/// XPath string-value of a node (text payload or concatenated subtree text).
-std::string string_value(const xml::Node& node);
 
 /// Literal comparison rule used by equality predicates.
 bool literal_equals(const std::string& value, const std::string& literal);

@@ -156,6 +156,7 @@ class PathParser {
       }
       predicate.kind = PredicateKind::kEquals;
       predicate.literal = current().text;
+      predicate.literal_number = parse_number(predicate.literal);
       advance();
     } else {
       predicate.kind = PredicateKind::kExists;

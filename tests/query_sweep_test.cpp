@@ -4,7 +4,14 @@
 // of guide matching that feeds XDGL's logical locks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <regex>
+#include <set>
+
 #include "dataguide/guide_match.hpp"
+#include "workload/fragmentation.hpp"
+#include "workload/workload_gen.hpp"
 #include "workload/xmark.hpp"
 #include "xpath/evaluator.hpp"
 #include "xpath/parser.hpp"
@@ -103,6 +110,191 @@ TEST(XmarkQueryTest, EveryOpenAuctionReachable) {
     EXPECT_EQ(xpath::evaluate(path.value(), *data.document).size(), 1u)
         << id;
   }
+}
+
+// --- the workload's own shapes -------------------------------------------------
+
+// Every path WorkloadGenerator::make_query / make_update emits, as a query
+// or as an update target: X stands for an entity id, C for a continent.
+const char* const kWorkloadShapes[] = {
+    "/site/people/person/name",
+    "/site/people/person[@id=X]/name",
+    "/site/people/person[@id=X]/profile/age",
+    "//person[@id=X]/emailaddress",
+    "/site/people",
+    "/site/people/person[@id=X]",
+    "/site/people/person[@id=X]/phone",
+    "/site/regions/C/item/name",
+    "/site/regions/C/item[@id=X]/name",
+    "/site/regions/C/item[@id=X]/price",
+    "/site/regions/C",
+    "/site/open_auctions/open_auction/current",
+    "/site/open_auctions/open_auction[@id=X]/current",
+    "/site/open_auctions/open_auction[@id=X]/initial",
+    "/site/open_auctions/open_auction[@id=X]",
+    "/site/closed_auctions/closed_auction/price",
+    "/site/closed_auctions/closed_auction[@id=X]/price",
+    "/site/categories/category/name",
+    "/site/categories/category[@id=X]/name",
+    "/site/categories",
+};
+
+/// A shape's labels, read off its text: a leading '//', then '/'-separated
+/// element names, one of which may carry "[@id=X]".
+struct Shape {
+  bool descendant_first = false;
+  std::vector<std::string> labels;
+  std::size_t id_step = SIZE_MAX;
+};
+
+Shape split_shape(std::string text) {
+  Shape shape;
+  shape.descendant_first = text.rfind("//", 0) == 0;
+  text.erase(0, shape.descendant_first ? 2 : 1);
+  std::size_t start = 0;
+  while (start <= text.size()) {
+    const std::size_t slash = std::min(text.find('/', start), text.size());
+    std::string label = text.substr(start, slash - start);
+    if (const std::size_t bracket = label.find("[@id=X]");
+        bracket != std::string::npos) {
+      shape.id_step = shape.labels.size();
+      label.erase(bracket);
+    }
+    shape.labels.push_back(label);
+    start = slash + 1;
+  }
+  return shape;
+}
+
+/// The shape's result found by walking the tree by hand (child lists and
+/// attribute lookups only), in document order.
+std::vector<xml::Node*> hand_walk(const Shape& shape, const xml::Document& doc,
+                                  const std::string& continent,
+                                  const std::string& id) {
+  const auto label = [&](std::size_t i) {
+    return shape.labels[i] == "C" ? continent : shape.labels[i];
+  };
+  std::vector<xml::Node*> level;
+  if (shape.descendant_first) {
+    doc.root()->visit([&](const xml::Node& node) {
+      if (node.is_element() && node.name() == label(0)) {
+        level.push_back(const_cast<xml::Node*>(&node));
+      }
+      return true;
+    });
+  } else if (doc.root()->name() == label(0)) {
+    level.push_back(doc.root());
+  }
+  for (std::size_t i = 0; i < shape.labels.size(); ++i) {
+    if (i > 0) {
+      std::vector<xml::Node*> next;
+      for (xml::Node* node : level) {
+        for (xml::Node* child : node->children_named(label(i))) {
+          next.push_back(child);
+        }
+      }
+      level = std::move(next);
+    }
+    if (i == shape.id_step) {
+      std::erase_if(level, [&](xml::Node* node) {
+        const std::string* value = node->attribute("id");
+        return value == nullptr || *value != id;
+      });
+    }
+  }
+  return level;
+}
+
+const std::vector<std::string>& section_ids(const std::string& shape,
+                                            const std::string& continent) {
+  const workload::XmarkData& data = xmark();
+  if (shape.find("person") != std::string::npos) return data.person_ids;
+  if (shape.find("regions") != std::string::npos) {
+    return data.items_by_continent.at(continent);
+  }
+  if (shape.find("open_auction") != std::string::npos) {
+    return data.open_auction_ids;
+  }
+  if (shape.find("closed_auction") != std::string::npos) {
+    return data.closed_auction_ids;
+  }
+  return data.category_ids;
+}
+
+TEST(XmarkShapeCorpusTest, EveryShapeMatchesAHandWalk) {
+  const workload::XmarkData& data = xmark();
+  for (const char* shape_text : kWorkloadShapes) {
+    const std::string shape_string = shape_text;
+    const Shape shape = split_shape(shape_string);
+    const bool per_continent = shape_string.find("/C") != std::string::npos;
+    for (std::size_t c = 0; c < (per_continent ? workload::kContinentCount : 1);
+         ++c) {
+      const std::string continent = workload::kContinents[c];
+      const std::vector<std::string>& ids =
+          section_ids(shape_string, continent);
+      ASSERT_FALSE(ids.empty()) << shape_string << " " << continent;
+      // First, middle and last entity, and one that does not exist.
+      const std::vector<std::string> picks = {ids.front(), ids[ids.size() / 2],
+                                              ids.back(), "none"};
+      for (const std::string& id : picks) {
+        std::string expression =
+            std::regex_replace(shape_string, std::regex("X"), "'" + id + "'");
+        expression =
+            std::regex_replace(expression, std::regex("/C(/|$)"),
+                               "/" + continent + "$1");
+        auto path = xpath::parse(expression);
+        ASSERT_TRUE(path.is_ok()) << expression;
+        const std::vector<xml::Node*> expected =
+            hand_walk(shape, *data.document, continent, id);
+        if (id != "none") {
+          EXPECT_FALSE(expected.empty()) << expression;
+        }
+        EXPECT_EQ(xpath::evaluate(path.value(), *data.document), expected)
+            << expression;
+        std::vector<std::string> strings;
+        for (xml::Node* node : expected) strings.push_back(node->deep_text());
+        EXPECT_EQ(xpath::evaluate_strings(path.value(), *data.document),
+                  strings)
+            << expression;
+        if (shape.id_step == SIZE_MAX) break;  // no id to vary
+      }
+    }
+  }
+}
+
+TEST(XmarkShapeCorpusTest, CorpusCoversEveryGeneratedOperation) {
+  const workload::XmarkData& data = xmark();
+  const std::vector<workload::Fragment> fragments =
+      workload::fragment_xmark(data, 8);
+  workload::WorkloadOptions options;
+  options.update_txn_fraction = 0.5;
+  options.update_op_fraction = 0.5;
+  workload::WorkloadGenerator generator(fragments, options);
+  const std::set<std::string> corpus(std::begin(kWorkloadShapes),
+                                     std::end(kWorkloadShapes));
+  const std::regex id_literal(R"(\[@id='[^']*'\])");
+  std::string continents;
+  for (const char* continent : workload::kContinents) {
+    continents += continents.empty() ? "" : "|";
+    continents += continent;
+  }
+  const std::regex continent("/site/regions/(" + continents + ")");
+  std::set<std::string> seen;
+  util::Rng rng(7);
+  for (int txn = 0; txn < 2000; ++txn) {
+    for (const std::string& op : generator.make_transaction(rng)) {
+      // The op's path is its first word that starts with '/'.
+      const std::size_t at = op.find(" /");
+      ASSERT_NE(at, std::string::npos) << op;
+      std::string path = op.substr(at + 1, op.find(' ', at + 1) - at - 1);
+      path = std::regex_replace(path, id_literal, "[@id=X]");
+      path = std::regex_replace(path, continent, "/site/regions/C");
+      EXPECT_TRUE(corpus.count(path) == 1) << op;
+      seen.insert(path);
+    }
+  }
+  // 2000 transactions reach every shape.
+  EXPECT_EQ(seen, corpus);
 }
 
 // --- guide condition extraction ------------------------------------------------

@@ -112,6 +112,16 @@ TEST(XPathParseTest, ErrorCases) {
   EXPECT_FALSE(parse("/a[b='unterminated]").is_ok());
 }
 
+TEST(XPathParseTest, LiteralNumberRecorded) {
+  auto path = parse("/r/a[@n=40][@id='p2'][name='10.50']");
+  ASSERT_TRUE(path.is_ok()) << path.status().to_string();
+  const auto& predicates = path.value().steps[1].predicates;
+  ASSERT_EQ(predicates.size(), 3u);
+  EXPECT_EQ(predicates[0].literal_number, 40.0);
+  EXPECT_FALSE(predicates[1].literal_number.has_value());
+  EXPECT_EQ(predicates[2].literal_number, 10.5);
+}
+
 TEST(XPathParseTest, ToStringRoundTrips) {
   for (const char* expr :
        {"/site/people/person", "//person/name",
@@ -237,6 +247,102 @@ TEST(XPathEvalTest, NoDuplicatesFromNestedDescendants) {
   ASSERT_TRUE(result.is_ok());
   // //b//c: outer b reaches both c's, inner b reaches one — dedupe to 2.
   EXPECT_EQ(eval("//b//c", *result.value()).size(), 2u);
+}
+
+// --- semantics the evaluator's fast paths rely on ------------------------------
+
+std::unique_ptr<Document> parse_doc(const char* text) {
+  auto result = xml::parse(text, "t");
+  EXPECT_TRUE(result.is_ok()) << result.status().to_string();
+  return std::move(result).value();
+}
+
+/// The `n` attribute of each selected node, in result order.
+std::vector<std::string> labels(const std::string& expr, const Document& doc) {
+  std::vector<std::string> out;
+  for (Node* node : eval(expr, doc)) {
+    const std::string* n = node->attribute("n");
+    out.push_back(n == nullptr ? "?" : *n);
+  }
+  return out;
+}
+
+using Labels = std::vector<std::string>;
+
+TEST(XPathEvalTest, AttributePredicatesNeverMatchTextNodes) {
+  auto doc = parse_doc(R"(<r><a k="1">t1</a><a k="2">t2</a></r>)");
+  EXPECT_EQ(eval("/r/a/text()", *doc).size(), 2u);
+  EXPECT_TRUE(eval("/r/a/text()[@k]", *doc).empty());
+  EXPECT_TRUE(eval("/r/a/text()[@k='1']", *doc).empty());
+  EXPECT_TRUE(eval("//text()[@k]", *doc).empty());
+}
+
+TEST(XPathEvalTest, PositionAfterAttributePredicateIsPerContext) {
+  auto doc = parse_doc(R"(<r>
+      <g><a k="1" n="1"/><a k="2" n="2"/><a k="1" n="3"/><a k="1" n="4"/></g>
+      <g><a k="2" n="5"/><a k="1" n="6"/><a k="1" n="7"/></g>
+      <g><a k="1" n="8"/></g>
+    </r>)");
+  // Each g's second k=1 child; the third g has only one.
+  EXPECT_EQ(labels("/r/g/a[@k='1'][2]", *doc), (Labels{"3", "7"}));
+  EXPECT_EQ(labels("/r/g/a[2][@k='1']", *doc), (Labels{"6"}));
+  EXPECT_EQ(labels("//a[@k='1'][2]", *doc), (Labels{"3"}));
+}
+
+TEST(XPathEvalTest, NumericAttributeEquality) {
+  auto doc = parse_doc(
+      R"(<r><a n="40.0"/><a n="40x"/><a n="40"/><a n="041"/><a n=""/></r>)");
+  EXPECT_EQ(labels("/r/a[@n=40]", *doc), (Labels{"40.0", "40"}));
+  EXPECT_EQ(labels("/r/a[@n='40']", *doc), (Labels{"40.0", "40"}));
+  EXPECT_EQ(labels("/r/a[@n='40x']", *doc), (Labels{"40x"}));
+  EXPECT_EQ(labels("/r/a[@n=41]", *doc), (Labels{"041"}));
+  EXPECT_EQ(labels("/r/a[@n='']", *doc), (Labels{""}));
+}
+
+TEST(XPathEvalTest, StepsAfterNestedDescendantContextsKeepDocumentOrder) {
+  // //a selects a1, a2 (inside a1) and a3 (inside a1); a1's own b comes
+  // after a2 in the document.
+  auto doc = parse_doc(R"(<r>
+      <a id="1" n="a1">
+        <a id="2" n="a2"><b n="b1"/></a>
+        <b n="b2"/>
+        <a id="3" n="a3"><b n="b3"/><c><b n="b4"/></c></a>
+      </a>
+      <b n="b5"/>
+    </r>)");
+  EXPECT_EQ(labels("//a/b", *doc), (Labels{"b1", "b2", "b3"}));
+  EXPECT_EQ(labels("//a/@id", *doc), (Labels{"a1", "a2", "a3"}));
+  EXPECT_EQ(labels("//a//b", *doc), (Labels{"b1", "b2", "b3", "b4"}));
+  EXPECT_EQ(labels("//a/b[1]", *doc), (Labels{"b1", "b2", "b3"}));
+  EXPECT_EQ(labels("//a//b[2]", *doc), (Labels{"b2", "b4"}));
+  EXPECT_EQ(labels("//a/*", *doc), (Labels{"a2", "b1", "b2", "a3", "b3", "?"}));
+  auto path = parse("//a/@id");
+  ASSERT_TRUE(path.is_ok());
+  EXPECT_EQ(evaluate_strings(path.value(), *doc),
+            (std::vector<std::string>{"1", "2", "3"}));
+}
+
+TEST(XPathEvalTest, MultiStepPredicatePaths) {
+  auto doc = auction_sample();
+  auto watchers = eval("/site/people/person[watches/watch]", *doc);
+  ASSERT_EQ(watchers.size(), 1u);
+  EXPECT_EQ(*watchers[0]->attribute("id"), "p2");
+  EXPECT_TRUE(eval("/site/people/person[watches/bid]", *doc).empty());
+
+  auto nested = parse_doc(R"(<r>
+      <x n="1"><a><c><b>v</b></c></a></x>
+      <x n="2"><a><b>w</b></a></x>
+      <x n="3"><a/><b>v</b></x>
+      <x n="4"><a><b>w</b><d><b>v</b></d></a></x>
+      <x n="5"><a><b>w</b></a><a><b>v</b><b>w</b></a></x>
+      <x n="6"><a><b>w</b></a><a><b>v</b></a></x>
+    </r>)");
+  EXPECT_EQ(labels("/r/x[a//b='v']", *nested), (Labels{"1", "4", "5", "6"}));
+  EXPECT_EQ(labels("/r/x[a//b]", *nested), (Labels{"1", "2", "4", "5", "6"}));
+  // A position predicate inside a predicate path applies per context too:
+  // x6 has two b's, but no a with a second one.
+  EXPECT_EQ(labels("/r/x[a/b[2]]", *nested), (Labels{"5"}));
+  EXPECT_EQ(labels("/r/x[a/b[1]='v']", *nested), (Labels{"5", "6"}));
 }
 
 TEST(XPathEvalTest, EmptyDocumentYieldsNothing) {
