@@ -81,8 +81,8 @@ void BM_XPathScanStrings(benchmark::State& state) {
 }
 BENCHMARK(BM_XPathScanStrings);
 
-// The workload's '//' point query: a whole-tree walk, then one predicate
-// test per person.
+// The workload's '//' point query: an attribute-index lookup and an
+// ancestor check, then one child step.
 void BM_XPathDescendantPoint(benchmark::State& state) {
   const workload::XmarkData& data = xmark_of(200'000);
   const std::string id = data.person_ids[data.person_ids.size() / 2];

@@ -662,6 +662,15 @@ std::uint64_t read_u64(const char* p) {
   return v;
 }
 
+/// Appends a frame's body to `out`.
+void append_body(std::uint32_t from, std::uint32_t to, const Payload& payload,
+                 std::string& out) {
+  Writer w(out);
+  w.u32(from);
+  w.u32(to);
+  std::visit(EncodeVisitor{w}, payload);
+}
+
 }  // namespace
 
 void encode(const Message& message, std::string& out) {
@@ -671,10 +680,7 @@ void encode(const Message& message, std::string& out) {
   append_u32(out, 0);  // length backpatched below
   append_u64(out, 0);  // checksum backpatched below
   const std::size_t body_at = out.size();
-  Writer w(out);
-  w.u32(message.from);
-  w.u32(message.to);
-  std::visit(EncodeVisitor{w}, message.payload);
+  append_body(message.from, message.to, message.payload, out);
   const std::size_t body_len = out.size() - body_at;
   const std::uint64_t checksum =
       util::fnv1a64(std::string_view(out).substr(body_at, body_len));
@@ -716,12 +722,14 @@ Result<Message> decode(std::string_view frame) {
 }
 
 std::size_t encoded_payload_size(const Payload& payload) {
-  // One scratch buffer per thread: the SimNetwork bandwidth model calls
-  // this per send, so the encode must not allocate each time.
+  // The body alone, straight from `payload` (no copy into a Message), into
+  // one scratch buffer per thread: the SimNetwork bandwidth model calls
+  // this per send, so it must not allocate each time. The header has a
+  // fixed size, so no checksum is needed.
   thread_local std::string scratch;
   scratch.clear();
-  encode(Message{0, 0, payload}, scratch);
-  return scratch.size();
+  append_body(0, 0, payload, scratch);
+  return kHeaderBytes + scratch.size();
 }
 
 void FrameReader::feed(std::string_view bytes) {

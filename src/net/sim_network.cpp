@@ -26,6 +26,8 @@ std::vector<SiteId> SimNetwork::sites() const {
 }
 
 void SimNetwork::send(Message message) {
+  // Sized before the lock: every send in the cluster takes mutex_.
+  const std::size_t bytes = payload_wire_size(message.payload);
   Mailbox* mailbox = nullptr;
   Mailbox::Clock::time_point deliver_at;
   bool duplicate = false;
@@ -43,7 +45,6 @@ void SimNetwork::send(Message message) {
     if (it == mailboxes_.end()) return;
     mailbox = it->second.get();
 
-    const std::size_t bytes = payload_wire_size(message.payload);
     ++stats_.messages_sent;
     stats_.bytes_sent += bytes;
 

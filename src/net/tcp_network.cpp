@@ -188,6 +188,13 @@ std::vector<SiteId> TcpNetwork::sites() const {
 }
 
 void TcpNetwork::send(Message message) {
+  // Encoded before the lock, into one buffer per thread: a local delivery
+  // only counts the frame's bytes, a remote one appends the frame.
+  // A buffer grown by a large frame (a migrated document) is not kept.
+  thread_local std::string frame;
+  if (frame.capacity() > (1u << 20)) frame = std::string();
+  frame.clear();
+  codec::encode(message, frame);
   bool need_wake = false;
   {
     sync::MutexLock lock(mutex_);
@@ -195,9 +202,8 @@ void TcpNetwork::send(Message message) {
     // coordinator messaging its own participant).
     const auto local = mailboxes_.find(message.to);
     if (local != mailboxes_.end()) {
-      const std::size_t bytes = codec::encoded_payload_size(message.payload);
       ++stats_.messages_sent;
-      stats_.bytes_sent += bytes;
+      stats_.bytes_sent += frame.size();
       local->second->push(std::move(message), Mailbox::Clock::now());
       return;
     }
@@ -214,11 +220,9 @@ void TcpNetwork::send(Message message) {
       ++stats_.messages_dropped;
       return;
     }
-    Conn& conn = *conns_.at(fd);
-    const std::size_t before = conn.out.size();
-    codec::encode(message, conn.out);
+    conns_.at(fd)->out += frame;
     ++stats_.messages_sent;
-    stats_.bytes_sent += conn.out.size() - before;
+    stats_.bytes_sent += frame.size();
     need_wake = true;
   }
   // The loop thread re-arms EPOLLOUT for connections with pending bytes.

@@ -9,8 +9,11 @@
 
 namespace dtx::util {
 
-[[nodiscard]] constexpr std::uint64_t fnv1a64(std::string_view text) noexcept {
-  std::uint64_t hash = 1469598103934665603ULL;
+/// `seed` continues a hash: fnv1a64(b, fnv1a64(a)) == fnv1a64(a + b).
+[[nodiscard]] constexpr std::uint64_t fnv1a64(
+    std::string_view text,
+    std::uint64_t seed = 1469598103934665603ULL) noexcept {
+  std::uint64_t hash = seed;
   for (const char c : text) {
     hash ^= static_cast<unsigned char>(c);
     hash *= 1099511628211ULL;

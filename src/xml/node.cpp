@@ -8,20 +8,17 @@
 namespace dtx::xml {
 
 Node::Node(NodeKind kind, NodeId id, std::string name_or_value)
-    : kind_(kind), id_(id) {
-  if (kind == NodeKind::kElement) {
-    name_ = std::move(name_or_value);
-  } else {
-    value_ = std::move(name_or_value);
-  }
-}
+    : kind_(kind), id_(id), text_(std::move(name_or_value)) {}
 
 void Node::set_name(std::string name) {
   assert(is_element());
-  name_ = std::move(name);
+  text_ = std::move(name);
 }
 
-void Node::set_value(std::string value) { value_ = std::move(value); }
+void Node::set_value(std::string value) {
+  assert(is_text());
+  text_ = std::move(value);
+}
 
 const std::string* Node::attribute(std::string_view name) const {
   for (const auto& [key, value] : attributes_) {
@@ -32,13 +29,17 @@ const std::string* Node::attribute(std::string_view name) const {
 
 void Node::set_attribute(std::string_view name, std::string value) {
   assert(is_element());
-  for (auto& [key, existing] : attributes_) {
-    if (key == name) {
-      existing = std::move(value);
-      return;
-    }
+  const bool indexed = in_tree();
+  auto it = std::find_if(attributes_.begin(), attributes_.end(),
+                         [&](const auto& pair) { return pair.first == name; });
+  if (it == attributes_.end()) {
+    attributes_.emplace_back(std::string(name), std::move(value));
+    it = attributes_.end() - 1;
+  } else {
+    if (indexed) document_->unindex_attribute(name, it->second, *this);
+    it->second = std::move(value);
   }
-  attributes_.emplace_back(std::string(name), std::move(value));
+  if (indexed) document_->index_attribute(name, it->second, *this);
 }
 
 bool Node::remove_attribute(std::string_view name) {
@@ -46,8 +47,15 @@ bool Node::remove_attribute(std::string_view name) {
       attributes_.begin(), attributes_.end(),
       [&](const auto& pair) { return pair.first == name; });
   if (it == attributes_.end()) return false;
+  if (in_tree()) document_->unindex_attribute(name, it->second, *this);
   attributes_.erase(it);
   return true;
+}
+
+bool Node::in_tree() const {
+  const Node* top = this;
+  while (top->parent_ != nullptr) top = top->parent_;
+  return document_ != nullptr && document_->root() == top;
 }
 
 std::size_t Node::index_in_parent() const {
@@ -63,11 +71,13 @@ Node* Node::insert_child(std::size_t position, std::unique_ptr<Node> child) {
   assert(is_element() && "text nodes cannot have children");
   assert(child != nullptr);
   assert(child->parent_ == nullptr && "child must be detached first");
+  assert(child->document_ == document_ && "child from another document");
   position = std::min(position, children_.size());
   child->parent_ = this;
   Node* raw = child.get();
   children_.insert(children_.begin() + static_cast<std::ptrdiff_t>(position),
                    std::move(child));
+  if (in_tree()) document_->index_subtree(*raw);
   return raw;
 }
 
@@ -76,6 +86,7 @@ std::unique_ptr<Node> Node::remove_child(std::size_t position) {
   std::unique_ptr<Node> child =
       std::move(children_[position]);
   children_.erase(children_.begin() + static_cast<std::ptrdiff_t>(position));
+  if (in_tree()) document_->unindex_subtree(*child);
   child->parent_ = nullptr;
   return child;
 }
@@ -111,7 +122,7 @@ std::string Node::deep_text() const {
 
 void Node::append_deep_text(std::string& out) const {
   if (is_text()) {
-    out += value_;
+    out += text_;
     return;
   }
   for (const auto& child : children_) child->append_deep_text(out);
@@ -125,7 +136,7 @@ std::string Node::label_path() const {
   std::string path;
   for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
     path += '/';
-    path += (*it)->is_element() ? (*it)->name_ : "#text";
+    path += (*it)->is_element() ? (*it)->text_ : "#text";
   }
   return path;
 }
@@ -150,7 +161,7 @@ bool Node::contains(const Node& other) const {
 }
 
 bool Node::deep_equal(const Node& other) const {
-  if (kind_ != other.kind_ || name_ != other.name_ || value_ != other.value_ ||
+  if (kind_ != other.kind_ || text_ != other.text_ ||
       attributes_ != other.attributes_ ||
       children_.size() != other.children_.size()) {
     return false;
@@ -163,8 +174,8 @@ bool Node::deep_equal(const Node& other) const {
 
 std::unique_ptr<Node> Node::clone(Document& id_source) const {
   std::unique_ptr<Node> copy =
-      is_element() ? id_source.create_element(name_)
-                   : id_source.create_text(value_);
+      is_element() ? id_source.create_element(text_)
+                   : id_source.create_text(text_);
   copy->attributes_ = attributes_;
   for (const auto& child : children_) {
     copy->append_child(child->clone(id_source));

@@ -43,14 +43,21 @@ class Node {
   [[nodiscard]] NodeId id() const noexcept { return id_; }
 
   /// Element tag name; empty for text nodes.
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
+  [[nodiscard]] const std::string& name() const noexcept {
+    return is_element() ? text_ : kNoText;
+  }
   void set_name(std::string name);
 
-  /// Text content for text nodes; unused for elements.
-  [[nodiscard]] const std::string& value() const noexcept { return value_; }
+  /// Text content for text nodes; empty for elements.
+  [[nodiscard]] const std::string& value() const noexcept {
+    return is_text() ? text_ : kNoText;
+  }
   void set_value(std::string value);
 
   // --- attributes (elements only) -----------------------------------------
+  // Setting or removing an attribute of a node under its document's root
+  // keeps the document's attribute index (Document::for_each_with_attribute)
+  // in step.
   [[nodiscard]] const std::vector<std::pair<std::string, std::string>>&
   attributes() const noexcept {
     return attributes_;
@@ -78,7 +85,9 @@ class Node {
   [[nodiscard]] std::size_t index_in_parent() const;
 
   /// Inserts a child at position (clamped to [0, child_count()]). Takes
-  /// ownership; returns the raw pointer for convenience.
+  /// ownership; returns the raw pointer for convenience. The child must
+  /// come from this node's document. Attaching a subtree under the
+  /// document's root indexes its attributes; detaching one unindexes them.
   Node* insert_child(std::size_t position, std::unique_ptr<Node> child);
   Node* append_child(std::unique_ptr<Node> child) {
     return insert_child(children_.size(), std::move(child));
@@ -118,7 +127,8 @@ class Node {
   /// children. Node ids are ignored.
   [[nodiscard]] bool deep_equal(const Node& other) const;
 
-  /// Deep copy with fresh ids allocated from `id_source` (a Document).
+  /// Deep copy, detached, with fresh ids allocated from `id_source` (a
+  /// Document, which the copy then belongs to).
   [[nodiscard]] std::unique_ptr<Node> clone(Document& id_source) const;
 
   /// Pre-order visit of this subtree; return false from the visitor to prune
@@ -132,10 +142,15 @@ class Node {
  private:
   friend class Document;
 
+  /// True when this node is its document's root or lies below it.
+  [[nodiscard]] bool in_tree() const;
+
+  inline static const std::string kNoText;
+
   NodeKind kind_;
   NodeId id_;
-  std::string name_;   // element tag
-  std::string value_;  // text payload
+  Document* document_ = nullptr;  // set by Document::create_*
+  std::string text_;  // element tag or text payload, by kind_
   std::vector<std::pair<std::string, std::string>> attributes_;
   Node* parent_ = nullptr;
   std::vector<std::unique_ptr<Node>> children_;

@@ -1,14 +1,34 @@
 #include "xpath/ast.hpp"
 
-#include <cstdlib>
+#include <algorithm>
+#include <charconv>
 
 namespace dtx::xpath {
 
-std::optional<double> parse_number(const std::string& text) {
-  if (text.empty()) return std::nullopt;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size()) return std::nullopt;
+std::optional<double> parse_number(std::string_view text) {
+  const auto space = [](char c) {
+    return c == ' ' || c == '\t' || c == '\r' || c == '\n';
+  };
+  const auto digits = [](std::string_view part) {
+    return std::all_of(part.begin(), part.end(),
+                       [](char c) { return c >= '0' && c <= '9'; });
+  };
+  while (!text.empty() && space(text.front())) text.remove_prefix(1);
+  while (!text.empty() && space(text.back())) text.remove_suffix(1);
+  std::string_view number = text;
+  if (!number.empty() && number.front() == '-') number.remove_prefix(1);
+  const std::size_t dot = number.find('.');
+  const std::string_view whole = number.substr(0, dot);
+  const std::string_view fraction = dot == std::string_view::npos
+                                        ? std::string_view()
+                                        : number.substr(dot + 1);
+  if ((whole.empty() && fraction.empty()) || !digits(whole) ||
+      !digits(fraction)) {
+    return std::nullopt;
+  }
+  double value = 0;
+  std::from_chars(text.data(), text.data() + text.size(), value,
+                  std::chars_format::fixed);
   return value;
 }
 

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dtx::xpath {
@@ -71,9 +72,11 @@ struct Step {
   [[nodiscard]] std::string to_string(bool leading_axis = true) const;
 };
 
-/// `text` as a number when strtod consumes all of it (and it is non-empty);
-/// the numeric half of the equality rule in xpath/evaluator.hpp.
-std::optional<double> parse_number(const std::string& text);
+/// `text` as a number when it is one in XPath 1.0's grammar: optional
+/// whitespace, an optional '-', digits with an optional fraction or
+/// '.' digits, optional whitespace. No exponent, hex, 'inf' or 'nan'. The
+/// numeric half of the equality rule in xpath/evaluator.hpp.
+std::optional<double> parse_number(std::string_view text);
 
 /// A parsed absolute path expression.
 struct Path {

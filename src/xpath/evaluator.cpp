@@ -1,6 +1,8 @@
 #include "xpath/evaluator.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <optional>
 #include <span>
 
 namespace dtx::xpath {
@@ -61,6 +63,46 @@ void append_candidates(Node& context, const Step& step,
   });
 }
 
+/// The `[@a = 'literal']` predicate that lets `step` be answered from the
+/// document's attribute index, or nullptr. It must be the first predicate
+/// of a name or '*' step, and its literal must not be a number: a numeric
+/// literal also matches other spellings of the number ('7' and '007').
+const Predicate* index_predicate(const Step& step) {
+  if (step.test != NodeTest::kName && step.test != NodeTest::kWildcard) {
+    return nullptr;
+  }
+  if (step.predicates.empty()) return nullptr;
+  const Predicate& first = step.predicates.front();
+  if (first.kind != PredicateKind::kEquals || first.literal_number ||
+      first.path.steps.size() != 1) {
+    return nullptr;
+  }
+  const Step& attribute = first.path.steps.front();
+  return attribute.test == NodeTest::kAttribute && attribute.predicates.empty()
+             ? &first
+             : nullptr;
+}
+
+/// True when `a` comes before `b` in document order (both in one tree).
+bool precedes(const Node& a, const Node& b) {
+  const Node* x = &a;
+  const Node* y = &b;
+  std::size_t depth_x = x->depth();
+  std::size_t depth_y = y->depth();
+  for (; depth_x > depth_y; --depth_x) x = x->parent();
+  for (; depth_y > depth_x; --depth_y) y = y->parent();
+  if (x == y) return x == &a && &a != &b;  // a is an ancestor of b
+  while (x->parent() != y->parent()) {
+    x = x->parent();
+    y = y->parent();
+  }
+  for (const auto& sibling : x->parent()->children()) {
+    if (sibling.get() == x) return true;
+    if (sibling.get() == y) return false;
+  }
+  return false;
+}
+
 bool has_position_predicate(const Step& step) {
   return std::any_of(step.predicates.begin(), step.predicates.end(),
                      [](const Predicate& predicate) {
@@ -109,16 +151,19 @@ bool equals_literal(const std::string& value, const std::string& literal,
   return value == literal;
 }
 
-/// One evaluation. Its only state is the buffer that equality predicates
-/// read element text into, reused for every candidate.
+/// One evaluation over one document. Its state is buffers reused from
+/// step to step and, for equality predicates, from candidate to candidate.
 class Evaluation {
  public:
+  explicit Evaluation(const xml::Document& document) : document_(document) {}
+
   /// The nodes `steps` select from `contexts`, which are in document order
-  /// without duplicates; `may_nest` is false when no context contains
-  /// another. Position predicates apply per context; only steps from
-  /// contexts that do nest need sorting and de-duplicating.
-  std::vector<Node*> run(Steps steps, std::vector<Node*> contexts,
-                         bool may_nest) {
+  /// without duplicates; a null context is the virtual document node whose
+  /// only child is the root element. Position predicates apply per context;
+  /// only steps from contexts that contain one another need sorting and
+  /// de-duplicating.
+  std::vector<Node*> run(Steps steps, std::vector<Node*> contexts) {
+    bool may_nest = false;
     std::vector<Node*> next;
     for (const Step& step : steps) {
       if (contexts.empty()) break;
@@ -126,10 +171,14 @@ class Evaluation {
       const bool nested = may_nest && step.test != NodeTest::kAttribute &&
                           any_nested(contexts);
       next.clear();
-      for (Node* context : contexts) {
-        const std::size_t begin = next.size();
-        append_candidates(*context, step, next);
-        filter(step.predicates, next, begin);
+      if (const Predicate* equals = index_predicate(step)) {
+        append_indexed(step, *equals, contexts, next);
+      } else {
+        for (Node* context : contexts) {
+          const std::size_t begin = next.size();
+          append_walked(context, step, next);
+          filter(step.predicates, next, begin);
+        }
       }
       if (nested) to_document_order(contexts, next);
       may_nest = may_nest || step.axis == Axis::kDescendant;
@@ -138,9 +187,10 @@ class Evaluation {
     return contexts;
   }
 
+ private:
   /// Applies `predicates` left to right to the candidate list one context
   /// produced, `nodes[begin..]`, in place.
-  void filter(const std::vector<Predicate>& predicates,
+  void filter(std::span<const Predicate> predicates,
               std::vector<Node*>& nodes, std::size_t begin) {
     for (const Predicate& predicate : predicates) {
       if (predicate.kind == PredicateKind::kPosition) {
@@ -159,7 +209,77 @@ class Evaluation {
     }
   }
 
- private:
+  /// Appends the nodes `step`'s axis and node test select from `context`.
+  void append_walked(Node* context, const Step& step,
+                     std::vector<Node*>& out) {
+    if (context != nullptr) {
+      append_candidates(*context, step, out);
+      return;
+    }
+    // From the document node, '/' tests the root and '//' the root and
+    // every node below it. An attribute test looks at the root alone.
+    Node* root = document_.root();
+    if (node_test(*root, step)) out.push_back(root);
+    if (step.axis == Axis::kDescendant && step.test != NodeTest::kAttribute) {
+      append_candidates(*root, step, out);
+    }
+  }
+
+  /// Appends what `step` selects from each context in turn, as the walk
+  /// would, but starts from the elements the attribute index holds for the
+  /// step's first predicate `equals`. A hit belongs to a context that is
+  /// its parent (child axis) or any ancestor (descendant axis); each
+  /// context's hits go out in document order and then through the step's
+  /// remaining predicates.
+  void append_indexed(const Step& step, const Predicate& equals,
+                      const std::vector<Node*>& contexts,
+                      std::vector<Node*>& next) {
+    by_address_.clear();
+    for (std::size_t i = 0; i < contexts.size(); ++i) {
+      by_address_.emplace_back(contexts[i], i);
+    }
+    std::sort(by_address_.begin(), by_address_.end(), std::less<>());
+    matches_.clear();
+    document_.for_each_with_attribute(
+        equals.path.steps.front().name, equals.literal, [&](Node& hit) {
+          if (!node_test(hit, step)) return;
+          for (Node* up = hit.parent();; up = up->parent()) {
+            if (const auto at = context_position(up)) {
+              matches_.emplace_back(*at, &hit);
+            }
+            if (up == nullptr || step.axis == Axis::kChild) return;
+          }
+        });
+    std::sort(matches_.begin(), matches_.end(),
+              [](const auto& left, const auto& right) {
+                return left.first != right.first
+                           ? left.first < right.first
+                           : precedes(*left.second, *right.second);
+              });
+    const std::span<const Predicate> rest =
+        std::span(step.predicates).subspan(1);
+    for (std::size_t i = 0; i < matches_.size();) {
+      const std::size_t begin = next.size();
+      const std::size_t context = matches_[i].first;
+      for (; i < matches_.size() && matches_[i].first == context; ++i) {
+        next.push_back(matches_[i].second);
+      }
+      filter(rest, next, begin);
+    }
+  }
+
+  /// Position of `node` in the contexts `by_address_` was built from (null
+  /// is the document node).
+  std::optional<std::size_t> context_position(const Node* node) const {
+    const auto it = std::lower_bound(
+        by_address_.begin(), by_address_.end(), node,
+        [](const auto& entry, const Node* key) {
+          return std::less<const Node*>()(entry.first, key);
+        });
+    if (it == by_address_.end() || it->first != node) return std::nullopt;
+    return it->second;
+  }
+
   /// An existence or equality predicate asks whether any node its path
   /// reaches passes, so it stops at the first one and builds no node set.
   bool holds(Node& candidate, const Predicate& predicate) {
@@ -201,6 +321,11 @@ class Evaluation {
     });
   }
 
+  const xml::Document& document_;
+  /// The contexts of the step append_indexed answers, by address, with
+  /// their positions; and its (context position, hit) pairs.
+  std::vector<std::pair<const Node*, std::size_t>> by_address_;
+  std::vector<std::pair<std::size_t, Node*>> matches_;
   std::string text_;
 };
 
@@ -212,26 +337,8 @@ bool literal_equals(const std::string& value, const std::string& literal) {
 
 std::vector<xml::Node*> evaluate(const Path& path,
                                  const xml::Document& document) {
-  std::vector<Node*> selected;
-  if (!document.has_root() || path.empty()) return selected;
-  // The first step runs from a virtual document node whose only child is
-  // the root element: '/' tests the root, '//' the root and every node below
-  // it. An attribute test looks at the root alone, like any attribute step.
-  const Step& first = path.steps.front();
-  Node* root = document.root();
-  if (node_test(*root, first)) selected.push_back(root);
-  if (first.axis == Axis::kDescendant && first.test != NodeTest::kAttribute) {
-    append_candidates(*root, first, selected);
-  }
-  Evaluation evaluation;
-  evaluation.filter(first.predicates, selected, 0);
-  return evaluation.run(Steps(path.steps).subspan(1), std::move(selected),
-                        /*may_nest=*/first.axis == Axis::kDescendant);
-}
-
-std::vector<xml::Node*> evaluate_relative(const RelativePath& path,
-                                          xml::Node& context) {
-  return Evaluation().run(path.steps, {&context}, /*may_nest=*/false);
+  if (!document.has_root() || path.empty()) return {};
+  return Evaluation(document).run(path.steps, {nullptr});
 }
 
 std::vector<std::string> evaluate_strings(const Path& path,

@@ -17,6 +17,18 @@
 // node. Only a step from contexts that contain one another (after a '//'
 // step) can reach a node twice or out of order; only such a step is sorted
 // and de-duplicated.
+//
+// Indexed steps: a name or '*' step on either axis whose first predicate is
+// `[@a = 'literal']` with a non-numeric literal (Predicate::literal_number
+// empty) is answered from the document's attribute index
+// (Document::for_each_with_attribute) instead of a walk. Each hit is kept
+// for the contexts that are its parent (child axis) or its ancestors
+// (descendant axis); per context the hits are put in document order and the
+// step's remaining predicates, positions included, filter them as they
+// would the walk's list. Such a step costs O(hits x depth), not a scan of
+// the contexts' children or subtrees: `//person[@id='X']` and
+// `/site/people/person[@id='X']` no longer read the other persons. Every
+// other step, and every step inside a predicate, walks.
 #pragma once
 
 #include <string>
@@ -32,10 +44,6 @@ namespace dtx::xpath {
 /// evaluate_strings to obtain the attribute values.
 std::vector<xml::Node*> evaluate(const Path& path,
                                  const xml::Document& document);
-
-/// Relative-path evaluation from an explicit context element.
-std::vector<xml::Node*> evaluate_relative(const RelativePath& path,
-                                          xml::Node& context);
 
 /// String-values of the selected nodes (attribute values for attribute-final
 /// paths, string-value of the node otherwise).

@@ -24,6 +24,7 @@
 #include "dtx/cluster.hpp"
 #include "dtx/data_manager.hpp"
 #include "dtx/snapshot_store.hpp"
+#include "dtx/wal.hpp"
 #include "query/plan.hpp"
 #include "storage/memory_store.hpp"
 #include "xpath/evaluator.hpp"
@@ -216,10 +217,15 @@ struct StoreFixture {
     EXPECT_TRUE(manager.load_all().is_ok());
   }
 
-  /// One committed phone change; returns the checkpoint-due list.
+  /// One committed phone change.
   void commit_change(TxnId txn, const std::string& value) {
-    auto plan = query::compile_text(
-        "update d change /site/people/person[@id='p1']/phone ::= " + value);
+    commit(txn, "update d change /site/people/person[@id='p1']/phone ::= " +
+                    value);
+  }
+
+  /// One committed update operation, then any checkpoint it makes due.
+  void commit(TxnId txn, const std::string& update) {
+    auto plan = query::compile_text(update);
     ASSERT_TRUE(plan.is_ok()) << plan.status().to_string();
     ASSERT_TRUE(manager.run_update(txn, plan.value()).is_ok());
     std::vector<std::string> due;
@@ -315,6 +321,56 @@ TEST(SnapshotStoreTest, UnpinnedOlderTreesLeaveTheCache) {
       eval(latest.value().at("d"), "/site/people/person[@id='p1']/phone");
   ASSERT_EQ(phones.size(), 1u);
   EXPECT_EQ(phones[0], "c401");
+}
+
+TEST(SnapshotStoreTest, PointQueriesAgreeOnAdvancedClonedAndMaterializedTrees) {
+  // The versions insert an entity with a new id, rename its element, then
+  // remove it. Each version is read from a tree the store advanced in place
+  // (no reader pins its base), from a clone (a reader pins each base) and
+  // from wal::materialize_at; the point queries, which the attribute index
+  // answers, must return the same rows from all three.
+  const std::vector<std::string> updates = {
+      "update d insert into /site/people ::= "
+      "<person id=\"p9\"><name>Nina</name></person>",
+      "update d rename /site/people/person[@id='p9'] ::= vip",
+      "update d remove /site/people/vip[@id='p9']",
+  };
+  const std::vector<std::vector<std::string>> expected_names = {
+      {"Nina"}, {}, {}};
+  const std::vector<std::string> queries = {
+      "/site/people/person[@id='p9']/name", "//person[@id='p9']",
+      "//vip[@id='p9']", "/site/people/*[@id='p9']/name",
+      "//person[@id='p2']/name"};
+
+  StoreFixture in_place;
+  StoreFixture cloned;
+  ASSERT_TRUE(in_place.snaps.snapshot({"d"}).is_ok());
+  auto pinned = cloned.snaps.snapshot({"d"});
+  ASSERT_TRUE(pinned.is_ok());
+  for (std::size_t i = 0; i < updates.size(); ++i) {
+    in_place.commit(500 + i, updates[i]);
+    cloned.commit(500 + i, updates[i]);
+    auto advanced = in_place.snaps.snapshot({"d"});
+    auto copy = cloned.snaps.snapshot({"d"});
+    ASSERT_TRUE(advanced.is_ok() && copy.is_ok());
+    pinned = copy;  // pins this version, so the next one is cloned
+    const SnapshotStore::DocView& a = advanced.value().at("d");
+    const SnapshotStore::DocView& b = copy.value().at("d");
+    ASSERT_EQ(a.version, b.version);
+    auto materialized = wal::materialize_at(in_place.store, "d", a.version);
+    ASSERT_TRUE(materialized.is_ok()) << materialized.status().to_string();
+    const SnapshotStore::DocView m{a.version,
+                                   std::move(materialized).value()};
+    EXPECT_EQ(eval(a, queries[0]), expected_names[i]) << "version " << i;
+    EXPECT_EQ(eval(a, "//vip[@id='p9']").size(), i == 1 ? 1u : 0u);
+    for (const std::string& query : queries) {
+      EXPECT_EQ(eval(a, query), eval(b, query)) << query << " version " << i;
+      EXPECT_EQ(eval(a, query), eval(m, query)) << query << " version " << i;
+    }
+  }
+  EXPECT_EQ(in_place.snaps.stats().clones, 0u);
+  EXPECT_EQ(cloned.snaps.stats().clones, updates.size());
+  EXPECT_EQ(in_place.snaps.stats().materializes, 1u) << "only the base";
 }
 
 TEST(SnapshotStoreTest, UnknownDocumentIsRejected) {

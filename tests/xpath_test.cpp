@@ -350,13 +350,42 @@ TEST(XPathEvalTest, EmptyDocumentYieldsNothing) {
   EXPECT_TRUE(eval("/a", doc).empty());
 }
 
-TEST(XPathEvalTest, RelativeEvaluation) {
+TEST(XPathEvalTest, StepsAfterAPointStep) {
   auto doc = auction_sample();
-  auto person = eval("/site/people/person[@id='p2']", *doc);
-  ASSERT_EQ(person.size(), 1u);
-  auto rel = parse_relative("watches/watch");
-  ASSERT_TRUE(rel.is_ok());
-  EXPECT_EQ(evaluate_relative(rel.value(), *person[0]).size(), 1u);
+  const auto watches =
+      eval("/site/people/person[@id='p2']/watches/watch", *doc);
+  ASSERT_EQ(watches.size(), 1u);
+  EXPECT_EQ(*watches[0]->attribute("open_auction"), "a1");
+}
+
+TEST(XPathEvalTest, AttributeEqualityStepsKeepWalkSemantics) {
+  // Steps with a leading [@a='literal'] are answered from the attribute
+  // index; order, duplicates and per-context positions must come out as
+  // the walk gives them.
+  auto parsed = xml::parse(
+      "<r a='1'><g><x k='v' n='1'/><x k='w'/><x k='v' n='2'/></g>"
+      "<g><x k='v' n='3'/><h><x k='v' n='4'/></h></g></r>",
+      "d");
+  ASSERT_TRUE(parsed.is_ok());
+  const Document& doc = *parsed.value();
+  const auto ns = [&](const std::string& expr) {
+    std::string out;
+    for (Node* node : eval(expr, doc)) out += *node->attribute("n");
+    return out;
+  };
+  EXPECT_EQ(ns("//x[@k='v']"), "1234");
+  EXPECT_EQ(ns("//*[@k='v'][3]"), "3");
+  EXPECT_EQ(ns("/r/g/x[@k='v'][2]"), "2");
+  EXPECT_EQ(ns("/r/g/x[@k='v'][1]"), "13");
+  EXPECT_EQ(ns("/r/g//x[@k='v'][2]"), "24");
+  EXPECT_EQ(ns("//*//x[@k='v']"), "1234");  // nested contexts, no duplicates
+  EXPECT_EQ(ns("/r/*/h/x[@k='v']"), "4");
+  // The root's own attribute, from both axes of the document node.
+  EXPECT_EQ(eval("/r[@a='1']", doc).size(), 1u);
+  EXPECT_EQ(eval("//*[@a='1']", doc), std::vector<Node*>{doc.root()});
+  EXPECT_TRUE(eval("/r/*[@a='1']", doc).empty());
+  // Numeric literals walk: '01' equals '1' as numbers.
+  EXPECT_EQ(ns("//x[@n='01']"), "1");
 }
 
 TEST(XPathEvalTest, LiteralEqualsRules) {
@@ -365,6 +394,20 @@ TEST(XPathEvalTest, LiteralEqualsRules) {
   EXPECT_FALSE(literal_equals("abc", "abd"));
   EXPECT_FALSE(literal_equals("10", "10x"));  // not both numeric, unequal text
   EXPECT_TRUE(literal_equals("007", "7"));
+  EXPECT_TRUE(literal_equals(" -.50 ", "-0.5"));
+  // Only XPath 1.0 Numbers compare numerically; strtod's other spellings
+  // (NaN, hex, exponents, infinities) compare as strings.
+  EXPECT_TRUE(literal_equals("nan", "nan"));
+  EXPECT_FALSE(literal_equals("16", "0x10"));
+  EXPECT_FALSE(literal_equals("1000", "1e3"));
+  EXPECT_FALSE(literal_equals("inf", "infinity"));
+}
+
+TEST(XPathEvalTest, NonNumberLiteralsCompareAsStrings) {
+  auto doc = xml::parse("<r><a><b>nan</b></a><a><b>1000</b></a></r>", "d");
+  ASSERT_TRUE(doc.is_ok());
+  EXPECT_EQ(eval("/r/a[b='nan']", *doc.value()).size(), 1u);
+  EXPECT_TRUE(eval("/r/a[b='1e3']", *doc.value()).empty());
 }
 
 }  // namespace
